@@ -74,7 +74,7 @@ jobs        lists traced jobs
 show        dumps the captures of a job
 repro       generates a context-reproduction Go test
 diff        compares the captures of two jobs (e.g. buggy vs fixed)
-trace-check verifies a trace: lazy indexed reads vs the eager full load`)
+trace-check verifies a trace: its index against a full segment scan`)
 }
 
 func openStore(dir string) (*trace.Store, error) {
@@ -725,10 +725,11 @@ func cmdRepro(args []string) error {
 	return nil
 }
 
-// cmdTraceCheck cross-checks the two read paths over one trace: the
-// lazy indexed Reader must serve exactly the view the eager LoadDB
-// builds, and a cold single-vertex lookup must touch at most one
-// segment per lane. CI runs this after the capture-smoke job.
+// cmdTraceCheck checks one trace end to end: a full sequential scan of
+// every segment must agree with the index sidecars record for record
+// and decode cleanly (Reader.Verify), and a cold single-vertex lookup
+// must touch at most one segment. CI runs this after the
+// capture-smoke job.
 func cmdTraceCheck(args []string) error {
 	fs := flag.NewFlagSet("trace-check", flag.ExitOnError)
 	traceDir := fs.String("trace-dir", "graft-traces", "trace directory")
@@ -741,46 +742,22 @@ func cmdTraceCheck(args []string) error {
 	if err != nil {
 		return err
 	}
-	lazy, err := store.OpenReader(*jobID)
+	r, err := store.OpenReader(*jobID)
 	if err != nil {
 		return err
 	}
-	eager, err := store.LoadDB(*jobID)
-	if err != nil {
-		return err
-	}
-
-	if l, e := lazy.MaxSuperstep(), eager.MaxSuperstep(); l != e {
-		return fmt.Errorf("trace-check: max superstep: lazy=%d eager=%d", l, e)
-	}
-	if l, e := lazy.TotalCaptures(), eager.TotalCaptures(); l != e {
-		return fmt.Errorf("trace-check: total captures: lazy=%d eager=%d", l, e)
-	}
-	diff := trace.DiffJobs(lazy, eager)
-	if n := len(diff.OnlyA) + len(diff.OnlyB); n > 0 {
-		return fmt.Errorf("trace-check: %d vertices captured in only one view (lazy-only %v, eager-only %v)",
-			n, diff.OnlyA, diff.OnlyB)
-	}
-	if len(diff.StatusDiffs) > 0 {
-		return fmt.Errorf("trace-check: M/V/E status differs at supersteps %v", diff.StatusDiffs)
-	}
-	if len(diff.Divergences) > 0 {
-		d := diff.FirstDivergence()
-		return fmt.Errorf("trace-check: %d capture divergences between lazy and eager views; first at superstep %d vertex %d (%v)",
-			len(diff.Divergences), d.Superstep, d.ID, d.Fields)
-	}
-	if err := lazy.Err(); err != nil {
-		return fmt.Errorf("trace-check: lazy reader: %w", err)
+	if err := r.Verify(); err != nil {
+		return fmt.Errorf("trace-check: %w", err)
 	}
 
 	// Cold lookup cost: reopen so the segment cache is empty, fetch one
 	// captured vertex, and count the segment files actually read.
-	ids := eager.CapturedVertexIDs()
-	steps := eager.Supersteps()
+	ids := r.CapturedVertexIDs()
+	steps := r.Supersteps()
 	if len(ids) > 0 && len(steps) > 0 {
 		id, step := ids[len(ids)/2], -1
 		for _, s := range steps {
-			if eager.Capture(s, id) != nil {
+			if r.Capture(s, id) != nil {
 				step = s
 				break
 			}
@@ -800,7 +777,10 @@ func cmdTraceCheck(args []string) error {
 				id, step, cold.SegmentReads())
 		}
 	}
-	fmt.Printf("trace-check ok: %s — %d supersteps, %d captures, lazy view matches eager load\n",
-		*jobID, len(steps), eager.TotalCaptures())
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("trace-check: %w", err)
+	}
+	fmt.Printf("trace-check ok: %s — %d supersteps, %d captures, index matches a full segment scan\n",
+		*jobID, len(steps), r.TotalCaptures())
 	return nil
 }

@@ -87,19 +87,8 @@ type (
 	DebugConfig = core.DebugConfig
 	// Store lays trace files out in a file system.
 	Store = trace.Store
-	// TraceDB is the eager in-memory index over one job's trace.
-	//
-	// Deprecated: TraceDB (and Store.LoadDB, which builds it) loads
-	// every trace segment up front. Open traces with OpenTrace /
-	// Store.OpenReader instead and program against TraceView — the
-	// interface both satisfy — so lookups read only the segments they
-	// touch. TraceDB remains for whole-trace scans (e.g. cross-checking
-	// the lazy reader, as `graft trace-check` does) and for traces in
-	// the legacy non-segmented layout.
-	TraceDB = trace.DB
-	// TraceView is the read API shared by the eager TraceDB and the
-	// lazy TraceReader: everything the GUI and the Context Reproducer
-	// need from a trace.
+	// TraceView is the read API of a trace: everything the GUI and the
+	// Context Reproducer need from it. TraceReader implements it.
 	TraceView = trace.View
 	// TraceReader is the lazy, index-driven trace reader: it seeks
 	// through the segment index and reads only the segments a lookup
@@ -334,21 +323,15 @@ func NewCluster(numNodes, replication, blockSize int) *Cluster {
 // for checksum experiments (see internal/faults).
 var CorruptReplicas = faults.CorruptReplicas
 
-// NewStore returns a trace store rooted at root within fs.
-//
-// Migration note: the historical pairing of NewStore with
-// Store.NewJobWriter on the write side and Store.LoadDB on the read
-// side is deprecated. Jobs now write through Store.NewSink (async,
-// segmented, indexed — what Run uses internally) and read through
-// Store.OpenReader / OpenTrace, which serve lookups from the segment
-// index instead of loading the whole trace. LoadDB remains as an
-// eager compatibility wrapper and understands both layouts.
+// NewStore returns a trace store rooted at root within fs. Jobs write
+// through Store.NewSink (async, segmented, indexed — what Run uses
+// internally) and read through OpenTrace / Store.OpenReader.
 func NewStore(fs dfs.FileSystem, root string) *Store { return trace.NewStore(fs, root) }
 
 // OpenTrace opens a job's trace lazily: lookups go through the
 // segment index and read only the segments they touch. The returned
-// Reader implements TraceView, the same query surface as the eager
-// TraceDB.
+// Reader implements TraceView; its Verify method checks the whole
+// trace against its index in one sequential pass.
 func OpenTrace(store *Store, jobID string) (*TraceReader, error) {
 	return store.OpenReader(jobID)
 }

@@ -268,14 +268,14 @@ func DecodeIndex(raw []byte) ([]SegmentIndex, error) {
 		return nil, ErrBadMagic
 	}
 	d := decoder{b: raw[len(IdxMagic):]}
-	nSegs := d.uvarint()
+	nSegs := d.count()
 	if d.err != nil {
 		return nil, d.err
 	}
 	segs := make([]SegmentIndex, 0, nSegs)
 	for i := uint64(0); i < nSegs; i++ {
 		seg := SegmentIndex{Name: d.str()}
-		nEnts := d.uvarint()
+		nEnts := d.count()
 		if d.err != nil {
 			return nil, d.err
 		}
@@ -353,6 +353,18 @@ func (d *decoder) uvarint() uint64 {
 	}
 	d.off += n
 	return x
+}
+
+// count reads an element count, failing if it exceeds the bytes left:
+// every element takes at least one byte, so a larger count is corrupt
+// and must not size an allocation.
+func (d *decoder) count() uint64 {
+	n := d.uvarint()
+	if n > uint64(len(d.b)-d.off) {
+		d.fail()
+		return 0
+	}
+	return n
 }
 
 func (d *decoder) varint() int64 {

@@ -7,33 +7,21 @@ import (
 	"graft/internal/pregel"
 )
 
-// buildDiffJob writes a tiny trace with the given captures.
-func buildDiffJob(t *testing.T, store *Store, jobID string, captures []*VertexCapture) *DB {
+// buildDiffJob writes a tiny trace with the given captures and opens
+// it.
+func buildDiffJob(t *testing.T, store *Store, jobID string, captures []*VertexCapture) *Reader {
 	t.Helper()
-	jw, err := store.NewJobWriter(JobMeta{JobID: jobID, Algorithm: "x", NumWorkers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	var recs []any
 	seen := map[int]bool{}
 	for _, c := range captures {
 		if !seen[c.Superstep] {
 			seen[c.Superstep] = true
-			if err := jw.Master().WriteSuperstepMeta(&SuperstepMeta{Superstep: c.Superstep}); err != nil {
-				t.Fatal(err)
-			}
+			recs = append(recs, &SuperstepMeta{Superstep: c.Superstep})
 		}
-		if err := jw.Worker(0).WriteVertexCapture(c); err != nil {
-			t.Fatal(err)
-		}
+		recs = append(recs, c)
 	}
-	if err := jw.Finish(JobResult{}); err != nil {
-		t.Fatal(err)
-	}
-	db, err := store.LoadDB(jobID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return db
+	writeRecords(t, store, JobMeta{JobID: jobID, Algorithm: "x", NumWorkers: 1}, JobResult{}, recs...)
+	return openReader(t, store, jobID)
 }
 
 func cap0(superstep int, id pregel.VertexID, val int64, out ...int64) *VertexCapture {

@@ -1,20 +1,16 @@
 package trace
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
-	"io"
 	"sort"
 
 	"graft/internal/pregel"
 )
 
-// Trace files are a magic header followed by framed records:
-// uvarint(length) ++ payload, where the payload's first byte is the
-// record kind.
-const fileMagic = "GRFTTRC1"
-
+// A trace record is framed inside a segment file (see segment.go) as
+// uvarint(length) ++ payload, where the payload starts with the
+// uvarint record kind.
 type recordKind uint8
 
 const (
@@ -24,69 +20,11 @@ const (
 	kindSubgraphCapture recordKind = 4
 )
 
-// ErrBadMagic is returned when a trace file does not start with the
-// expected header.
+// ErrBadMagic is returned when a segment or index file does not start
+// with the expected header.
 var ErrBadMagic = errors.New("trace: bad file magic")
 
-// Writer writes framed records to an underlying file. It is not safe
-// for concurrent use; Graft gives each worker its own Writer.
-type Writer struct {
-	wc  io.WriteCloser
-	bw  *bufio.Writer
-	e   *pregel.Encoder
-	hdr *pregel.Encoder
-}
-
-// NewWriter wraps wc, writing the file header immediately.
-func NewWriter(wc io.WriteCloser) (*Writer, error) {
-	w := &Writer{wc: wc, bw: bufio.NewWriter(wc), e: pregel.NewEncoder(), hdr: pregel.NewEncoder()}
-	if _, err := w.bw.WriteString(fileMagic); err != nil {
-		return nil, err
-	}
-	return w, nil
-}
-
-func (w *Writer) frame() error {
-	w.hdr.Reset()
-	w.hdr.PutUvarint(uint64(w.e.Len()))
-	if _, err := w.bw.Write(w.hdr.Bytes()); err != nil {
-		return err
-	}
-	_, err := w.bw.Write(w.e.Bytes())
-	return err
-}
-
-// WriteVertexCapture appends one vertex capture record.
-func (w *Writer) WriteVertexCapture(c *VertexCapture) error {
-	w.e.Reset()
-	encodeVertexCapturePayload(w.e, c)
-	return w.frame()
-}
-
-// WriteMasterCapture appends one master capture record.
-func (w *Writer) WriteMasterCapture(c *MasterCapture) error {
-	w.e.Reset()
-	encodeMasterCapturePayload(w.e, c)
-	return w.frame()
-}
-
-// WriteSuperstepMeta appends one superstep metadata record.
-func (w *Writer) WriteSuperstepMeta(m *SuperstepMeta) error {
-	w.e.Reset()
-	encodeSuperstepMetaPayload(w.e, m)
-	return w.frame()
-}
-
-// WriteSubgraphCapture appends one subgraph capture record.
-func (w *Writer) WriteSubgraphCapture(c *SubgraphCapture) error {
-	w.e.Reset()
-	encodeSubgraphCapturePayload(w.e, c)
-	return w.frame()
-}
-
-// encodeRecordPayload appends the framed payload of rec (kind byte
-// first) to e. The payload bytes are identical between legacy .trace
-// files and segment files; only the container around them differs.
+// encodeRecordPayload appends the payload of rec (kind first) to e.
 func encodeRecordPayload(e *pregel.Encoder, rec any) error {
 	switch r := rec.(type) {
 	case *VertexCapture:
@@ -179,8 +117,8 @@ func encodeSuperstepMetaPayload(e *pregel.Encoder, m *SuperstepMeta) {
 	encodeAggMap(e, m.Aggregated)
 }
 
-// decodeRecordPayload decodes one framed payload (kind byte first)
-// into a *VertexCapture, *MasterCapture or *SuperstepMeta.
+// decodeRecordPayload decodes one payload (kind first) into a
+// *VertexCapture, *MasterCapture, *SuperstepMeta or *SubgraphCapture.
 func decodeRecordPayload(payload []byte) (any, error) {
 	pd := pregel.NewDecoder(payload)
 	kind := recordKind(pd.Uvarint())
@@ -200,13 +138,18 @@ func decodeRecordPayload(payload []byte) (any, error) {
 	return nil, fmt.Errorf("trace: unknown record kind %d", kind)
 }
 
-// Close flushes buffered records and closes the file, committing it.
-func (w *Writer) Close() error {
-	if err := w.bw.Flush(); err != nil {
-		w.wc.Close()
-		return err
+// readCount reads an element count and rejects one larger than the
+// bytes left (every element takes at least one byte), so a corrupt
+// count fails the decode instead of sizing an allocation.
+func readCount(d *pregel.Decoder) (uint64, error) {
+	n := d.Uvarint()
+	if d.Err() != nil {
+		return 0, d.Err()
 	}
-	return w.wc.Close()
+	if n > uint64(d.Remaining()) {
+		return 0, fmt.Errorf("%w: count %d exceeds the %d bytes left", pregel.ErrCorrupt, n, d.Remaining())
+	}
+	return n, nil
 }
 
 func encodeException(e *pregel.Encoder, ex *ExceptionInfo) {
@@ -241,9 +184,9 @@ func encodeAggMap(e *pregel.Encoder, m map[string]pregel.Value) {
 }
 
 func decodeAggMap(d *pregel.Decoder) (map[string]pregel.Value, error) {
-	n := d.Uvarint()
-	if d.Err() != nil {
-		return nil, d.Err()
+	n, err := readCount(d)
+	if err != nil {
+		return nil, err
 	}
 	m := make(map[string]pregel.Value, n)
 	for i := uint64(0); i < n; i++ {
@@ -255,43 +198,6 @@ func decodeAggMap(d *pregel.Decoder) (map[string]pregel.Value, error) {
 		m[name] = v
 	}
 	return m, d.Err()
-}
-
-// RecordReader iterates the framed records of one trace or segment
-// file's byte contents. For random access over an indexed trace use
-// Reader (Store.OpenReader) instead.
-type RecordReader struct {
-	data []byte
-	off  int
-}
-
-// NewRecordReader validates the header of data (legacy .trace or
-// segment magic) and positions at the first record.
-func NewRecordReader(data []byte) (*RecordReader, error) {
-	if len(data) < len(fileMagic) {
-		return nil, ErrBadMagic
-	}
-	switch string(data[:len(fileMagic)]) {
-	case fileMagic, segMagic:
-	default:
-		return nil, ErrBadMagic
-	}
-	return &RecordReader{data: data, off: len(fileMagic)}, nil
-}
-
-// Next returns the next record: a *VertexCapture, *MasterCapture or
-// *SuperstepMeta. It returns io.EOF after the last record.
-func (r *RecordReader) Next() (any, error) {
-	if r.off >= len(r.data) {
-		return nil, io.EOF
-	}
-	d := pregel.NewDecoder(r.data[r.off:])
-	payload := d.Bytes()
-	if d.Err() != nil {
-		return nil, d.Err()
-	}
-	r.off = len(r.data) - d.Remaining()
-	return decodeRecordPayload(payload)
 }
 
 func decodeVertexCapture(d *pregel.Decoder) (*VertexCapture, error) {
@@ -308,9 +214,9 @@ func decodeVertexCapture(d *pregel.Decoder) (*VertexCapture, error) {
 		return nil, err
 	}
 	c.EdgesPreCompute = d.Bool()
-	nEdges := d.Uvarint()
-	if d.Err() != nil {
-		return nil, d.Err()
+	nEdges, err := readCount(d)
+	if err != nil {
+		return nil, err
 	}
 	c.Edges = make([]pregel.Edge, 0, nEdges)
 	for i := uint64(0); i < nEdges; i++ {
@@ -321,9 +227,9 @@ func decodeVertexCapture(d *pregel.Decoder) (*VertexCapture, error) {
 		}
 		c.Edges = append(c.Edges, pregel.Edge{Target: target, Value: v})
 	}
-	nIn := d.Uvarint()
-	if d.Err() != nil {
-		return nil, d.Err()
+	nIn, err := readCount(d)
+	if err != nil {
+		return nil, err
 	}
 	c.Incoming = make([]pregel.Value, 0, nIn)
 	for i := uint64(0); i < nIn; i++ {
@@ -333,9 +239,9 @@ func decodeVertexCapture(d *pregel.Decoder) (*VertexCapture, error) {
 		}
 		c.Incoming = append(c.Incoming, v)
 	}
-	nOut := d.Uvarint()
-	if d.Err() != nil {
-		return nil, d.Err()
+	nOut, err := readCount(d)
+	if err != nil {
+		return nil, err
 	}
 	c.Outgoing = make([]OutMsg, 0, nOut)
 	for i := uint64(0); i < nOut; i++ {
@@ -347,9 +253,9 @@ func decodeVertexCapture(d *pregel.Decoder) (*VertexCapture, error) {
 		c.Outgoing = append(c.Outgoing, OutMsg{To: to, Value: v})
 	}
 	c.HaltedAfter = d.Bool()
-	nViol := d.Uvarint()
-	if d.Err() != nil {
-		return nil, d.Err()
+	nViol, err := readCount(d)
+	if err != nil {
+		return nil, err
 	}
 	c.Violations = make([]Violation, 0, nViol)
 	for i := uint64(0); i < nViol; i++ {
@@ -383,9 +289,9 @@ func decodeMasterCapture(d *pregel.Decoder) (*MasterCapture, error) {
 	if c.AggregatedAfter, err = decodeAggMap(d); err != nil {
 		return nil, err
 	}
-	nSets := d.Uvarint()
-	if d.Err() != nil {
-		return nil, d.Err()
+	nSets, err := readCount(d)
+	if err != nil {
+		return nil, err
 	}
 	c.Sets = make([]AggSet, 0, nSets)
 	for i := uint64(0); i < nSets; i++ {
@@ -408,9 +314,9 @@ func decodeSubgraphCapture(d *pregel.Decoder) (*SubgraphCapture, error) {
 	c.Superstep = int(d.Uvarint())
 	c.Worker = int(d.Uvarint())
 	c.ID = pregel.VertexID(d.Varint())
-	n := d.Uvarint()
-	if d.Err() != nil {
-		return nil, d.Err()
+	n, err := readCount(d)
+	if err != nil {
+		return nil, err
 	}
 	c.Members = make([]pregel.VertexID, 0, n)
 	for i := uint64(0); i < n; i++ {

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 	"sync"
@@ -10,53 +9,6 @@ import (
 
 	"graft/internal/dfs"
 	"graft/internal/pregel"
-)
-
-// View is the read surface shared by the lazy Reader and the eager DB:
-// everything the GUI pages and the Context Reproducer ask of a trace.
-type View interface {
-	// JobMeta returns the job manifest.
-	JobMeta() JobMeta
-	// JobResult returns the job result, or nil if the job has not
-	// written job.done.
-	JobResult() *JobResult
-	// Supersteps returns the sorted superstep numbers with metadata.
-	Supersteps() []int
-	// MaxSuperstep returns the largest recorded superstep, or -1.
-	MaxSuperstep() int
-	// MetaAt returns the superstep metadata, or nil.
-	MetaAt(superstep int) *SuperstepMeta
-	// MasterAt returns the master capture of a superstep, or nil.
-	MasterAt(superstep int) *MasterCapture
-	// Capture returns one vertex's capture at one superstep, or nil.
-	Capture(superstep int, id pregel.VertexID) *VertexCapture
-	// CapturesAt returns a superstep's captures sorted by vertex ID.
-	CapturesAt(superstep int) []*VertexCapture
-	// CapturesOf returns one vertex's captures in superstep order.
-	CapturesOf(id pregel.VertexID) []*VertexCapture
-	// CapturedVertexIDs returns the sorted IDs of captured vertices.
-	CapturedVertexIDs() []pregel.VertexID
-	// TotalCaptures returns the number of vertex capture records.
-	TotalCaptures() int64
-	// ViolationsAt returns one superstep's violation rows.
-	ViolationsAt(superstep int) []ViolationRow
-	// AllViolations returns every violation row across supersteps.
-	AllViolations() []ViolationRow
-	// StatusAt computes the M/V/E status boxes of one superstep.
-	StatusAt(superstep int) Status
-	// Search returns captures matching q in (superstep, vertex) order.
-	Search(q Query) []*VertexCapture
-	// SubgraphsAt returns a superstep's subgraph captures sorted by
-	// subgraph ID. Empty for vertex-mode jobs.
-	SubgraphsAt(superstep int) []*SubgraphCapture
-	// SubgraphAt returns the subgraph capture containing vertex id at
-	// one superstep, or nil.
-	SubgraphAt(superstep int, id pregel.VertexID) *SubgraphCapture
-}
-
-var (
-	_ View = (*DB)(nil)
-	_ View = (*Reader)(nil)
 )
 
 // recordLoc locates one record: segment name relative to the job
@@ -67,32 +19,45 @@ type recordLoc struct {
 	ln  int
 }
 
+func (l recordLoc) String() string {
+	return fmt.Sprintf("%s offset %d length %d", l.seg, l.off, l.ln)
+}
+
+// locations maps record coordinates to the record's byte location.
+// Where two records share coordinates, the one placed last wins.
+type locations struct {
+	metaLoc     map[int]recordLoc
+	masterLoc   map[int]recordLoc
+	vertexLoc   map[int]map[pregel.VertexID]recordLoc
+	subgraphLoc map[int]map[pregel.VertexID]recordLoc
+}
+
+func newLocations() locations {
+	return locations{
+		metaLoc:     map[int]recordLoc{},
+		masterLoc:   map[int]recordLoc{},
+		vertexLoc:   map[int]map[pregel.VertexID]recordLoc{},
+		subgraphLoc: map[int]map[pregel.VertexID]recordLoc{},
+	}
+}
+
 // Reader is the lazy, index-driven read half of the redesigned trace
 // API. Open with Store.OpenReader. It loads only the index sidecars up
 // front; record payloads are fetched segment by segment as views ask
 // for them, through a bounded segment cache — a GUI page or a replay
 // reads only the segments holding what it renders.
 //
-// For legacy-format jobs (no index) the Reader transparently falls
-// back to an eager DB scan.
-//
 // Reader is safe for concurrent use.
 type Reader struct {
 	store *Store
-	jobID string
 	dir   string
 	meta  JobMeta
 	res   *JobResult
 
-	legacy *DB // non-nil for legacy whole-file traces
-
-	metaLoc     map[int]recordLoc
-	masterLoc   map[int]recordLoc
-	vertexLoc   map[int]map[pregel.VertexID]recordLoc
-	subgraphLoc map[int]map[pregel.VertexID]recordLoc
-	steps       []int
-	// segOrder lists every segment in lane+sequence order: the scan
-	// order under which last-record-wins matches legacy LoadDB.
+	locations
+	steps []int
+	// segOrder lists every segment in lane+sequence order: the order
+	// in which loadIndex and Verify place records.
 	segOrder []string
 
 	mu         sync.Mutex
@@ -107,17 +72,19 @@ type Reader struct {
 // maxSegmentCacheBytes bounds the Reader's in-memory segment cache.
 const maxSegmentCacheBytes = 32 << 20
 
-// OpenReader opens a job's trace for lazy, indexed reads. Segmented
-// jobs (written by Store.NewSink) are served straight from their index
-// sidecars; legacy jobs fall back to an eager whole-file scan.
+// OpenReader opens a job's trace for lazy, indexed reads, served from
+// the index sidecars Store.NewSink writes. A manifest of any other
+// format is rejected.
 func (s *Store) OpenReader(jobID string) (*Reader, error) {
 	meta, err := s.ReadMeta(jobID)
 	if err != nil {
 		return nil, err
 	}
+	if meta.Format != FormatSegments {
+		return nil, fmt.Errorf("trace: job %q: unsupported trace format %q (want %q)", jobID, meta.Format, FormatSegments)
+	}
 	r := &Reader{
 		store:      s,
-		jobID:      jobID,
 		dir:        s.jobDir(jobID),
 		meta:       meta,
 		cache:      map[string][]byte{},
@@ -127,14 +94,6 @@ func (s *Store) OpenReader(jobID string) (*Reader, error) {
 		return nil, err
 	} else if done {
 		r.res = &res
-	}
-	if meta.Format != FormatSegments {
-		db, err := s.LoadDB(jobID)
-		if err != nil {
-			return nil, err
-		}
-		r.legacy = db
-		return r, nil
 	}
 	if err := r.loadIndex(); err != nil {
 		return nil, err
@@ -150,10 +109,7 @@ func (r *Reader) loadIndex() error {
 	if err != nil {
 		return err
 	}
-	r.metaLoc = map[int]recordLoc{}
-	r.masterLoc = map[int]recordLoc{}
-	r.vertexLoc = map[int]map[pregel.VertexID]recordLoc{}
-	r.subgraphLoc = map[int]map[pregel.VertexID]recordLoc{}
+	r.locations = newLocations()
 
 	var idxFiles, segFiles []string
 	for _, name := range files {
@@ -211,28 +167,56 @@ func (r *Reader) loadIndex() error {
 	return nil
 }
 
-func (r *Reader) place(ent indexEntry, seg string) {
+func (l *locations) place(ent indexEntry, seg string) {
 	loc := recordLoc{seg: seg, off: ent.Offset, ln: ent.Length}
 	switch ent.Kind {
 	case kindSuperstepMeta:
-		r.metaLoc[ent.Superstep] = loc
+		l.metaLoc[ent.Superstep] = loc
 	case kindMasterCapture:
-		r.masterLoc[ent.Superstep] = loc
+		l.masterLoc[ent.Superstep] = loc
 	case kindVertexCapture:
-		m := r.vertexLoc[ent.Superstep]
-		if m == nil {
-			m = map[pregel.VertexID]recordLoc{}
-			r.vertexLoc[ent.Superstep] = m
-		}
-		m[ent.VertexID] = loc
+		placeIn(l.vertexLoc, ent, loc)
 	case kindSubgraphCapture:
-		m := r.subgraphLoc[ent.Superstep]
-		if m == nil {
-			m = map[pregel.VertexID]recordLoc{}
-			r.subgraphLoc[ent.Superstep] = m
-		}
-		m[ent.VertexID] = loc
+		placeIn(l.subgraphLoc, ent, loc)
 	}
+}
+
+func placeIn(locs map[int]map[pregel.VertexID]recordLoc, ent indexEntry, loc recordLoc) {
+	m := locs[ent.Superstep]
+	if m == nil {
+		m = map[pregel.VertexID]recordLoc{}
+		locs[ent.Superstep] = m
+	}
+	m[ent.VertexID] = loc
+}
+
+// recordKey is a record's coordinates: what locations maps from.
+type recordKey struct {
+	kind recordKind
+	step int
+	id   pregel.VertexID // 0 for metas and master captures
+}
+
+// flat returns every location in l keyed by record coordinates.
+func (l *locations) flat() map[recordKey]recordLoc {
+	out := map[recordKey]recordLoc{}
+	for s, loc := range l.metaLoc {
+		out[recordKey{kindSuperstepMeta, s, 0}] = loc
+	}
+	for s, loc := range l.masterLoc {
+		out[recordKey{kindMasterCapture, s, 0}] = loc
+	}
+	for kind, locs := range map[recordKind]map[int]map[pregel.VertexID]recordLoc{
+		kindVertexCapture:   l.vertexLoc,
+		kindSubgraphCapture: l.subgraphLoc,
+	} {
+		for s, m := range locs {
+			for id, loc := range m {
+				out[recordKey{kind, s, id}] = loc
+			}
+		}
+	}
+	return out
 }
 
 // scanSegmentEntries walks a segment's frames and synthesizes index
@@ -304,16 +288,16 @@ func (r *Reader) segmentBytes(name string) ([]byte, error) {
 }
 
 // record fetches and decodes the record at loc, recording (not
-// returning) errors so View accessors can stay nil-on-missing like the
-// eager DB's.
+// returning) errors so View accessors can stay nil-on-missing.
 func (r *Reader) record(loc recordLoc) any {
 	seg, err := r.segmentBytes(loc.seg)
 	if err != nil {
 		r.setErr(err)
 		return nil
 	}
-	if loc.off < 0 || loc.off+loc.ln > len(seg) {
-		r.setErr(fmt.Errorf("trace: %s: index entry out of range", loc.seg))
+	// Written as ln > len-off so a huge ln cannot overflow off+ln.
+	if loc.off < 0 || loc.ln < 0 || loc.off > len(seg) || loc.ln > len(seg)-loc.off {
+		r.setErr(fmt.Errorf("trace: index entry %v out of range (segment is %d bytes)", loc, len(seg)))
 		return nil
 	}
 	rec, err := decodeRecordPayload(seg[loc.off : loc.off+loc.ln])
@@ -340,6 +324,49 @@ func (r *Reader) Err() error {
 	return r.err
 }
 
+// Verify reads the whole trace once, sequentially, and checks it
+// against its index: it rescans every segment, places the records it
+// finds last-record-wins, and requires each record's byte location to
+// equal the one loaded from the index sidecars. It also decodes every
+// record. It returns the first mismatch or decode error. Segments carry
+// no checksum, so a changed byte inside a value that still decodes is
+// not detected.
+func (r *Reader) Verify() error {
+	scan := newLocations()
+	for _, name := range r.segOrder {
+		raw, err := r.segmentBytes(name)
+		if err != nil {
+			return err
+		}
+		ents, err := scanSegmentEntries(raw)
+		if err != nil {
+			return fmt.Errorf("trace: %s: %w", name, err)
+		}
+		for _, ent := range ents {
+			scan.place(ent, name)
+			if _, err := decodeRecordPayload(raw[ent.Offset : ent.Offset+ent.Length]); err != nil {
+				return fmt.Errorf("trace: %s: record at offset %d: %w", name, ent.Offset, err)
+			}
+		}
+	}
+	indexed, scanned := r.locations.flat(), scan.flat()
+	for k, loc := range scanned {
+		got, ok := indexed[k]
+		if !ok {
+			return fmt.Errorf("trace: record %+v at %v is missing from the index", k, loc)
+		}
+		if got != loc {
+			return fmt.Errorf("trace: record %+v: index says %v, segments say %v", k, got, loc)
+		}
+	}
+	for k, loc := range indexed {
+		if _, ok := scanned[k]; !ok {
+			return fmt.Errorf("trace: record %+v: index says %v, no segment holds it", k, loc)
+		}
+	}
+	return nil
+}
+
 // SegmentReads returns how many segment files have been fetched from
 // storage (cache misses): what the single-segment-lookup acceptance
 // check measures.
@@ -350,25 +377,16 @@ func (r *Reader) JobMeta() JobMeta { return r.meta }
 
 // JobResult implements View.
 func (r *Reader) JobResult() *JobResult {
-	if r.legacy != nil {
-		return r.legacy.Result
-	}
 	return r.res
 }
 
 // Supersteps implements View.
 func (r *Reader) Supersteps() []int {
-	if r.legacy != nil {
-		return r.legacy.Supersteps()
-	}
 	return r.steps
 }
 
 // MaxSuperstep implements View.
 func (r *Reader) MaxSuperstep() int {
-	if r.legacy != nil {
-		return r.legacy.MaxSuperstep()
-	}
 	if len(r.steps) == 0 {
 		return -1
 	}
@@ -377,9 +395,6 @@ func (r *Reader) MaxSuperstep() int {
 
 // MetaAt implements View.
 func (r *Reader) MetaAt(superstep int) *SuperstepMeta {
-	if r.legacy != nil {
-		return r.legacy.MetaAt(superstep)
-	}
 	loc, ok := r.metaLoc[superstep]
 	if !ok {
 		return nil
@@ -390,9 +405,6 @@ func (r *Reader) MetaAt(superstep int) *SuperstepMeta {
 
 // MasterAt implements View.
 func (r *Reader) MasterAt(superstep int) *MasterCapture {
-	if r.legacy != nil {
-		return r.legacy.MasterAt(superstep)
-	}
 	loc, ok := r.masterLoc[superstep]
 	if !ok {
 		return nil
@@ -403,9 +415,6 @@ func (r *Reader) MasterAt(superstep int) *MasterCapture {
 
 // Capture implements View: one index lookup, one segment fetch.
 func (r *Reader) Capture(superstep int, id pregel.VertexID) *VertexCapture {
-	if r.legacy != nil {
-		return r.legacy.Capture(superstep, id)
-	}
 	loc, ok := r.vertexLoc[superstep][id]
 	if !ok {
 		return nil
@@ -416,9 +425,6 @@ func (r *Reader) Capture(superstep int, id pregel.VertexID) *VertexCapture {
 
 // CapturesAt implements View.
 func (r *Reader) CapturesAt(superstep int) []*VertexCapture {
-	if r.legacy != nil {
-		return r.legacy.CapturesAt(superstep)
-	}
 	m := r.vertexLoc[superstep]
 	out := make([]*VertexCapture, 0, len(m))
 	for _, loc := range m {
@@ -432,9 +438,6 @@ func (r *Reader) CapturesAt(superstep int) []*VertexCapture {
 
 // CapturesOf implements View.
 func (r *Reader) CapturesOf(id pregel.VertexID) []*VertexCapture {
-	if r.legacy != nil {
-		return r.legacy.CapturesOf(id)
-	}
 	var out []*VertexCapture
 	for _, m := range r.vertexLoc {
 		if loc, ok := m[id]; ok {
@@ -449,9 +452,6 @@ func (r *Reader) CapturesOf(id pregel.VertexID) []*VertexCapture {
 
 // CapturedVertexIDs implements View, answered from the index alone.
 func (r *Reader) CapturedVertexIDs() []pregel.VertexID {
-	if r.legacy != nil {
-		return r.legacy.CapturedVertexIDs()
-	}
 	seen := map[pregel.VertexID]bool{}
 	for _, m := range r.vertexLoc {
 		for id := range m {
@@ -468,9 +468,6 @@ func (r *Reader) CapturedVertexIDs() []pregel.VertexID {
 
 // TotalCaptures implements View, answered from the index alone.
 func (r *Reader) TotalCaptures() int64 {
-	if r.legacy != nil {
-		return r.legacy.TotalCaptures()
-	}
 	var n int64
 	for _, m := range r.vertexLoc {
 		n += int64(len(m))
@@ -480,17 +477,11 @@ func (r *Reader) TotalCaptures() int64 {
 
 // ViolationsAt implements View.
 func (r *Reader) ViolationsAt(superstep int) []ViolationRow {
-	if r.legacy != nil {
-		return r.legacy.ViolationsAt(superstep)
-	}
 	return violationRows(superstep, r.CapturesAt(superstep))
 }
 
 // AllViolations implements View.
 func (r *Reader) AllViolations() []ViolationRow {
-	if r.legacy != nil {
-		return r.legacy.AllViolations()
-	}
 	var rows []ViolationRow
 	for _, s := range r.steps {
 		rows = append(rows, r.ViolationsAt(s)...)
@@ -500,17 +491,11 @@ func (r *Reader) AllViolations() []ViolationRow {
 
 // StatusAt implements View.
 func (r *Reader) StatusAt(superstep int) Status {
-	if r.legacy != nil {
-		return r.legacy.StatusAt(superstep)
-	}
 	return statusOf(r.CapturesAt(superstep))
 }
 
 // SubgraphsAt implements View.
 func (r *Reader) SubgraphsAt(superstep int) []*SubgraphCapture {
-	if r.legacy != nil {
-		return r.legacy.SubgraphsAt(superstep)
-	}
 	m := r.subgraphLoc[superstep]
 	out := make([]*SubgraphCapture, 0, len(m))
 	for _, loc := range m {
@@ -525,9 +510,6 @@ func (r *Reader) SubgraphsAt(superstep int) []*SubgraphCapture {
 // SubgraphAt implements View. The index is keyed by subgraph ID, so a
 // non-ID member costs a scan of the superstep's subgraph captures.
 func (r *Reader) SubgraphAt(superstep int, id pregel.VertexID) *SubgraphCapture {
-	if r.legacy != nil {
-		return r.legacy.SubgraphAt(superstep, id)
-	}
 	if loc, ok := r.subgraphLoc[superstep][id]; ok {
 		if c, _ := r.record(loc).(*SubgraphCapture); c != nil {
 			return c
@@ -538,9 +520,6 @@ func (r *Reader) SubgraphAt(superstep int, id pregel.VertexID) *SubgraphCapture 
 
 // Search implements View.
 func (r *Reader) Search(q Query) []*VertexCapture {
-	if r.legacy != nil {
-		return r.legacy.Search(q)
-	}
 	var out []*VertexCapture
 	steps := r.steps
 	if q.Superstep >= 0 {
@@ -554,45 +533,4 @@ func (r *Reader) Search(q Query) []*VertexCapture {
 		}
 	}
 	return out
-}
-
-// materialize builds an eager DB from the segments in scan order: the
-// compatibility path behind LoadDB for segmented jobs. Unlike the
-// nil-on-missing View accessors, it surfaces corruption as an error.
-func (r *Reader) materialize() (*DB, error) {
-	if r.legacy != nil {
-		return r.legacy, nil
-	}
-	db := &DB{
-		Meta:     r.meta,
-		Result:   r.res,
-		metas:    map[int]*SuperstepMeta{},
-		captures: map[int]map[pregel.VertexID]*VertexCapture{},
-		masters:  map[int]*MasterCapture{},
-	}
-	for _, name := range r.segOrder {
-		raw, err := r.segmentBytes(name)
-		if err != nil {
-			return nil, err
-		}
-		rr, err := NewRecordReader(raw)
-		if err != nil {
-			return nil, fmt.Errorf("trace: %s: %w", name, err)
-		}
-		for {
-			rec, err := rr.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return nil, fmt.Errorf("trace: %s: %w", name, err)
-			}
-			db.add(rec)
-		}
-	}
-	for s := range db.metas {
-		db.supersteps = append(db.supersteps, s)
-	}
-	sort.Ints(db.supersteps)
-	return db, nil
 }

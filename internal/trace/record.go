@@ -220,9 +220,8 @@ type JobMeta struct {
 	// subgraph-centric jobs, empty (or "vertex") for vertex-centric
 	// ones. `graft repro` keys its codegen off this.
 	ComputeMode string `json:"compute_mode,omitempty"`
-	// Format identifies the on-disk trace layout: FormatSegments for
-	// jobs written through Store.NewSink, empty for legacy whole-file
-	// traces written through the deprecated NewJobWriter.
+	// Format identifies the on-disk trace layout. Store.NewSink writes
+	// FormatSegments, the only layout Store.OpenReader accepts.
 	Format string `json:"format,omitempty"`
 }
 

@@ -18,9 +18,9 @@ import (
 //	<root>/<jobID>/master/seg_000000.seg
 //	<root>/<jobID>/master.idx
 //
-// A segment file is the magic "GRFTSEG1" followed by the same framed
-// records legacy .trace files hold (uvarint length ++ payload), so a
-// segment remains scannable without its index. Segments are sealed —
+// A segment file is the magic "GRFTSEG1" followed by framed records
+// (uvarint length ++ payload), so a segment remains scannable without
+// its index. Segments are sealed —
 // committed whole through the atomic-on-close file system — at the
 // configured size and at every superstep barrier, which is what makes
 // crash and chaos runs replayable: everything up to the last completed
@@ -36,37 +36,10 @@ import (
 //
 // The container mechanics — framing, sealing, index encoding — live in
 // the dependency-free segio package so the engine's outbox logs can
-// share them; this file binds them to trace record types. The exported
-// aliases below are the reuse surface the redesign promised: external
-// code gets the writer and the index codec without knowing segio
-// exists.
+// share them; this file binds them to trace record types.
 const (
 	segMagic = segio.SegMagic
 	idxMagic = segio.IdxMagic
-)
-
-// SegmentWriter is the generic segment+index lane writer, re-exported
-// for reuse outside the trace store (the engine's outbox logs use the
-// same container). See segio.Writer for the format contract.
-type SegmentWriter = segio.Writer
-
-// SegmentIndex is one sealed segment's index: file name plus entries
-// in record order.
-type SegmentIndex = segio.SegmentIndex
-
-// SegmentEntry locates one record inside a segment file.
-type SegmentEntry = segio.Entry
-
-// NewSegmentWriter constructs a generic segment lane writer (see
-// SegmentWriter).
-var NewSegmentWriter = segio.NewWriter
-
-// EncodeSegmentIndex and DecodeSegmentIndex are the GRFTIDX1 sidecar
-// codec, re-exported for external readers of trace or outbox-log
-// indexes.
-var (
-	EncodeSegmentIndex = segio.EncodeIndex
-	DecodeSegmentIndex = segio.DecodeIndex
 )
 
 // indexEntry locates one record's payload inside a segment file, with

@@ -13,8 +13,7 @@ import (
 )
 
 // FormatSegments marks jobs written through Store.NewSink: segmented
-// files plus index sidecars. Jobs without a format marker are legacy
-// whole-file traces.
+// files plus index sidecars.
 const FormatSegments = "segments/v1"
 
 // BackpressurePolicy decides what a full capture queue does to the
@@ -131,7 +130,7 @@ func WithSynchronous() Option {
 // RecordSink accepts capture records for one lane (one worker, or the
 // master). A lane is single-producer: each worker sink is used only by
 // its worker goroutine, the master sink only by the engine
-// coordinator. The legacy *Writer satisfies this interface too.
+// coordinator.
 type RecordSink interface {
 	WriteVertexCapture(*VertexCapture) error
 	WriteMasterCapture(*MasterCapture) error
@@ -172,9 +171,8 @@ type Sink interface {
 }
 
 // NewSink writes the job manifest and returns a Sink for the job's
-// NumWorkers+1 lanes. This is the successor of NewJobWriter: records
-// land in segmented, indexed files (FormatSegments) that
-// Store.OpenReader can seek into lazily.
+// NumWorkers+1 lanes. Records land in segmented, indexed files
+// (FormatSegments) that Store.OpenReader can seek into lazily.
 func (s *Store) NewSink(meta JobMeta, opts ...Option) (Sink, error) {
 	if meta.JobID == "" {
 		return nil, fmt.Errorf("trace: empty job ID")

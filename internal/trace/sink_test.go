@@ -1,8 +1,10 @@
 package trace
 
 import (
+	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -65,8 +67,7 @@ func TestSinkSegmentedRoundTrip(t *testing.T) {
 	store := NewStore(fs, "t")
 	writeSinkJob(t, store, "job1")
 
-	// The on-disk layout is segments plus index sidecars, no legacy
-	// .trace files.
+	// The on-disk layout is segments plus index sidecars.
 	names, err := fs.List("t/job1/")
 	if err != nil {
 		t.Fatal(err)
@@ -78,8 +79,6 @@ func TestSinkSegmentedRoundTrip(t *testing.T) {
 			segs++
 		case strings.HasSuffix(n, ".idx"):
 			idxs++
-		case strings.HasSuffix(n, ".trace"):
-			t.Errorf("legacy trace file %q in a segmented job", n)
 		}
 	}
 	if segs == 0 || idxs != 3 {
@@ -393,69 +392,115 @@ func TestSinkUnindexedSegmentRecovery(t *testing.T) {
 	}
 }
 
-// TestOpenReaderLegacyFallback opens a job written by the legacy
-// whole-file writer through the new Reader and expects the same view.
-func TestOpenReaderLegacyFallback(t *testing.T) {
-	store := NewStore(dfs.NewMemFS(), "t")
-	jw, err := store.NewJobWriter(JobMeta{JobID: "old", Algorithm: "sp", NumWorkers: 1})
+// TestOpenReaderRejectsUnknownFormat pins that the Reader serves only
+// the segmented layout: a manifest without a format marker is an
+// error naming the format, not a silent fallback.
+func TestOpenReaderRejectsUnknownFormat(t *testing.T) {
+	fs := dfs.NewMemFS()
+	store := NewStore(fs, "t")
+	raw, err := json.Marshal(JobMeta{JobID: "old", Algorithm: "sp", NumWorkers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	meta := sampleMeta()
-	meta.Superstep = 0
-	if err := jw.Master().WriteSuperstepMeta(meta); err != nil {
+	if err := dfs.WriteFile(fs, "t/old/job.meta", raw); err != nil {
 		t.Fatal(err)
 	}
-	c := sampleVertexCapture()
-	c.Superstep, c.ID, c.Worker = 0, 7, 0
-	if err := jw.Worker(0).WriteVertexCapture(c); err != nil {
-		t.Fatal(err)
-	}
-	if err := jw.Finish(JobResult{Supersteps: 1, Captures: 1}); err != nil {
-		t.Fatal(err)
-	}
-
-	r, err := store.OpenReader("old")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.JobMeta().Format == FormatSegments {
-		t.Errorf("legacy job reports format %q", r.JobMeta().Format)
-	}
-	if n := r.TotalCaptures(); n != 1 {
-		t.Errorf("total captures = %d", n)
-	}
-	if got := r.Capture(0, 7); got == nil || got.Worker != 0 {
-		t.Errorf("capture(0, 7) = %+v", got)
-	}
-	if res := r.JobResult(); res == nil || res.Captures != 1 {
-		t.Errorf("result = %+v", res)
+	_, err = store.OpenReader("old")
+	if err == nil || !strings.Contains(err.Error(), `format ""`) {
+		t.Fatalf("err = %v, want an unsupported-format error naming the format", err)
 	}
 }
 
-// TestLoadDBReadsSegmentedJob pins the compatibility wrapper: LoadDB
-// on a segmented job materializes the same view the lazy reader serves.
-func TestLoadDBReadsSegmentedJob(t *testing.T) {
-	store := NewStore(dfs.NewMemFS(), "t")
+// editIndex rewrites a lane's index sidecar with edit applied to its
+// first entry.
+func editIndex(t *testing.T, fs dfs.FileSystem, path string, edit func(*indexEntry)) {
+	t.Helper()
+	raw, err := dfs.ReadFile(fs, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	segs, err := decodeIndex(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edit(&segs[0].Entries[0])
+	if err := dfs.WriteFile(fs, path, encodeIndex(segs)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReaderVerify pins the full-scan check: it passes on a clean job
+// and fails on one flipped segment byte or one edited sidecar entry.
+func TestReaderVerify(t *testing.T) {
+	fs := dfs.NewMemFS()
+	store := NewStore(fs, "t")
 	writeSinkJob(t, store, "job1", WithSegmentSize(64))
-	db, err := store.LoadDB("job1")
+	if err := openReader(t, store, "job1").Verify(); err != nil {
+		t.Fatalf("clean job: %v", err)
+	}
+
+	const seg = "t/job1/worker_00/seg_000000.seg"
+	clean, err := dfs.ReadFile(fs, seg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := store.OpenReader("job1")
+	ents, err := scanSegmentEntries(clean)
 	if err != nil {
 		t.Fatal(err)
 	}
-	diff := DiffJobs(db, r)
-	if d := diff.FirstDivergence(); d != nil || len(diff.OnlyA) != 0 || len(diff.OnlyB) != 0 {
-		t.Errorf("LoadDB and OpenReader views differ: %+v", diff)
+	// The first record is vertex 100's capture: payload byte 0 is its
+	// kind (a flip no longer decodes), byte 3 the low byte of its
+	// zig-zag ID (a flip decodes, as vertex 101, at a location the
+	// index does not hold).
+	for _, pos := range []int{0, 3} {
+		bad := append([]byte(nil), clean...)
+		bad[ents[0].Offset+pos] ^= 0x02
+		if err := dfs.WriteFile(fs, seg, bad); err != nil {
+			t.Fatal(err)
+		}
+		if err := openReader(t, store, "job1").Verify(); err == nil {
+			t.Errorf("Verify accepted a flipped byte at payload offset %d", pos)
+		}
 	}
-	if db.TotalCaptures() != r.TotalCaptures() {
-		t.Errorf("captures: db=%d reader=%d", db.TotalCaptures(), r.TotalCaptures())
+	if err := dfs.WriteFile(fs, seg, clean); err != nil {
+		t.Fatal(err)
+	}
+
+	editIndex(t, fs, "t/job1/worker_00.idx", func(e *indexEntry) { e.Offset++ })
+	if err := openReader(t, store, "job1").Verify(); err == nil {
+		t.Error("Verify accepted an edited sidecar entry")
 	}
 }
 
-// TestSinkValidation mirrors the legacy writer's constructor checks.
+// TestReaderRejectsBadIndexEntry rewrites a sidecar entry with a
+// negative length, and with an offset whose end overflows int: lookups
+// must report the entry through Err, and Verify must fail, without a
+// panic.
+func TestReaderRejectsBadIndexEntry(t *testing.T) {
+	for name, edit := range map[string]func(*indexEntry){
+		"negative length": func(e *indexEntry) { e.Length = -1 },
+		"overflowing end": func(e *indexEntry) { e.Offset, e.Length = math.MaxInt-2, 10 },
+	} {
+		t.Run(name, func(t *testing.T) {
+			fs := dfs.NewMemFS()
+			store := NewStore(fs, "t")
+			writeSinkJob(t, store, "job1")
+			editIndex(t, fs, "t/job1/worker_00.idx", edit)
+			r := openReader(t, store, "job1")
+			if caps := r.CapturesAt(0); len(caps) != 1 || caps[0].ID != 200 {
+				t.Errorf("captures at 0 = %+v, want only vertex 200", caps)
+			}
+			if r.Err() == nil {
+				t.Error("bad index entry not reported through Err")
+			}
+			if err := r.Verify(); err == nil {
+				t.Error("Verify accepted a bad index entry")
+			}
+		})
+	}
+}
+
+// TestSinkValidation pins the constructor's manifest checks.
 func TestSinkValidation(t *testing.T) {
 	store := NewStore(dfs.NewMemFS(), "t")
 	if _, err := store.NewSink(JobMeta{JobID: "", NumWorkers: 1}); err == nil {

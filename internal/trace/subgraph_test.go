@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"io"
 	"testing"
 
 	"graft/internal/dfs"
@@ -22,39 +21,17 @@ func sampleSubgraphCapture() *SubgraphCapture {
 }
 
 func TestSubgraphCaptureRoundTrip(t *testing.T) {
-	fs := dfs.NewMemFS()
-	f, err := fs.Create("sg.trace")
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := NewWriter(f)
-	if err != nil {
-		t.Fatal(err)
-	}
+	store := NewStore(dfs.NewMemFS(), "t")
 	want := sampleSubgraphCapture()
-	if err := w.WriteSubgraphCapture(want); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
+	writeRecords(t, store, JobMeta{JobID: "sg", NumWorkers: 3}, JobResult{},
+		&SuperstepMeta{Superstep: want.Superstep}, want)
+	r := openReader(t, store, "sg")
 
-	raw, err := dfs.ReadFile(fs, "sg.trace")
-	if err != nil {
-		t.Fatal(err)
+	caps := r.SubgraphsAt(want.Superstep)
+	if len(caps) != 1 {
+		t.Fatalf("subgraph captures at %d = %+v", want.Superstep, caps)
 	}
-	r, err := NewRecordReader(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := r.Next()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc, ok := rec.(*SubgraphCapture)
-	if !ok {
-		t.Fatalf("decoded %T, want *SubgraphCapture", rec)
-	}
+	sc := caps[0]
 	if sc.Superstep != want.Superstep || sc.Worker != want.Worker || sc.ID != want.ID {
 		t.Errorf("identity fields: %+v", sc)
 	}
@@ -67,13 +44,16 @@ func TestSubgraphCaptureRoundTrip(t *testing.T) {
 	if !sc.HaltedAfter || sc.Digest != want.Digest {
 		t.Errorf("halted=%v digest=%q", sc.HaltedAfter, sc.Digest)
 	}
-	if _, err := r.Next(); err != io.EOF {
-		t.Fatalf("expected EOF, got %v", err)
+	if got := r.SubgraphAt(want.Superstep, 40); got == nil || got.ID != want.ID {
+		t.Errorf("SubgraphAt(member 40) = %+v", got)
+	}
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
 	}
 }
 
-// TestFindMemberSubgraph exercises the member-to-component lookup both
-// read paths (indexed Reader and eager DB) share.
+// TestFindMemberSubgraph exercises the member-to-component lookup
+// behind Reader.SubgraphAt.
 func TestFindMemberSubgraph(t *testing.T) {
 	caps := []*SubgraphCapture{
 		{ID: 1, Members: []pregel.VertexID{1, 2, 3}},

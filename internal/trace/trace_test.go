@@ -2,7 +2,6 @@ package trace
 
 import (
 	"errors"
-	"io"
 	"testing"
 
 	"graft/internal/dfs"
@@ -62,55 +61,66 @@ func sampleMeta() *SuperstepMeta {
 	}
 }
 
+// writeRecords writes one job through a Sink — vertex and subgraph
+// captures on their worker's lane, metas and master captures on the
+// master lane — and finishes it with res.
+func writeRecords(t testing.TB, store *Store, meta JobMeta, res JobResult, recs ...any) {
+	t.Helper()
+	sink, err := store.NewSink(meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		switch r := rec.(type) {
+		case *VertexCapture:
+			err = sink.WorkerSink(r.Worker).WriteVertexCapture(r)
+		case *SubgraphCapture:
+			err = sink.WorkerSink(r.Worker).WriteSubgraphCapture(r)
+		case *MasterCapture:
+			err = sink.MasterSink().WriteMasterCapture(r)
+		case *SuperstepMeta:
+			err = sink.MasterSink().WriteSuperstepMeta(r)
+		default:
+			t.Fatalf("unexpected record %T", rec)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sink.Finish(res); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func openReader(t testing.TB, store *Store, jobID string) *Reader {
+	t.Helper()
+	r, err := store.OpenReader(jobID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// TestRecordRoundTrip writes one record of each vertex-mode kind
+// through a sink and reads every field back through the Reader.
 func TestRecordRoundTrip(t *testing.T) {
-	fs := dfs.NewMemFS()
-	f, err := fs.Create("f.trace")
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := NewWriter(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.WriteSuperstepMeta(sampleMeta()); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.WriteVertexCapture(sampleVertexCapture()); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.WriteMasterCapture(sampleMasterCapture()); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
+	store := NewStore(dfs.NewMemFS(), "t")
+	writeRecords(t, store, JobMeta{JobID: "rt", NumWorkers: 3}, JobResult{},
+		sampleMeta(), sampleVertexCapture(), sampleMasterCapture())
+	r := openReader(t, store, "rt")
 
-	raw, err := dfs.ReadFile(fs, "f.trace")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewRecordReader(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	rec1, err := r.Next()
-	if err != nil {
-		t.Fatal(err)
-	}
-	meta := rec1.(*SuperstepMeta)
-	if meta.Superstep != 41 || meta.NumVertices != 10 || meta.NumEdges != 20 {
-		t.Errorf("meta = %+v", meta)
+	meta := r.MetaAt(41)
+	if meta == nil || meta.Superstep != 41 || meta.NumVertices != 10 || meta.NumEdges != 20 {
+		t.Fatalf("meta = %+v", meta)
 	}
 	if !pregel.ValuesEqual(meta.Aggregated["count"], pregel.NewLong(7)) {
 		t.Error("meta aggregated mismatch")
 	}
 
-	rec2, err := r.Next()
-	if err != nil {
-		t.Fatal(err)
+	vc := r.Capture(41, 672)
+	if vc == nil {
+		t.Fatal("vertex capture missing")
 	}
-	vc := rec2.(*VertexCapture)
 	want := sampleVertexCapture()
 	if vc.Superstep != want.Superstep || vc.Worker != want.Worker || vc.ID != want.ID {
 		t.Errorf("identity fields: %+v", vc)
@@ -139,11 +149,10 @@ func TestRecordRoundTrip(t *testing.T) {
 		t.Errorf("exception = %+v", vc.Exception)
 	}
 
-	rec3, err := r.Next()
-	if err != nil {
-		t.Fatal(err)
+	mc := r.MasterAt(41)
+	if mc == nil {
+		t.Fatal("master capture missing")
 	}
-	mc := rec3.(*MasterCapture)
 	if mc.NumVertices != 1_000_000_000 {
 		t.Errorf("master numV = %d", mc.NumVertices)
 	}
@@ -153,80 +162,92 @@ func TestRecordRoundTrip(t *testing.T) {
 	if len(mc.Sets) != 1 || mc.Sets[0].Name != "phase" {
 		t.Errorf("sets = %+v", mc.Sets)
 	}
-
-	if _, err := r.Next(); err != io.EOF {
-		t.Fatalf("expected EOF, got %v", err)
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestReaderRejectsBadMagic(t *testing.T) {
-	if _, err := NewRecordReader([]byte("NOTATRACE")); !errors.Is(err, ErrBadMagic) {
-		t.Fatalf("err = %v", err)
-	}
-	if _, err := NewRecordReader([]byte("GR")); !errors.Is(err, ErrBadMagic) {
-		t.Fatalf("short file err = %v", err)
+	for _, raw := range []string{"NOTATRACE", "GR"} {
+		if _, err := scanSegmentEntries([]byte(raw)); !errors.Is(err, ErrBadMagic) {
+			t.Errorf("segment %q: err = %v", raw, err)
+		}
+		if _, err := decodeIndex([]byte(raw)); !errors.Is(err, ErrBadMagic) {
+			t.Errorf("index %q: err = %v", raw, err)
+		}
 	}
 }
 
 func TestReaderRejectsCorruptRecord(t *testing.T) {
 	fs := dfs.NewMemFS()
-	f, _ := fs.Create("f.trace")
-	w, _ := NewWriter(f)
-	if err := w.WriteSuperstepMeta(sampleMeta()); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	raw, _ := dfs.ReadFile(fs, "f.trace")
-	raw = raw[:len(raw)-3] // truncate mid-record
-	r, err := NewRecordReader(raw)
+	store := NewStore(fs, "t")
+	writeRecords(t, store, JobMeta{JobID: "c", NumWorkers: 1}, JobResult{}, sampleMeta())
+	raw, err := dfs.ReadFile(fs, "t/c/master/seg_000000.seg")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Next(); err == nil || err == io.EOF {
-		t.Fatalf("expected corrupt error, got %v", err)
+	ents, err := scanSegmentEntries(raw)
+	if err != nil || len(ents) != 1 {
+		t.Fatalf("clean segment: %d entries, err %v", len(ents), err)
+	}
+	// Truncate mid-record: the frame no longer fits, and the payload
+	// cut short no longer decodes.
+	if _, err := scanSegmentEntries(raw[:len(raw)-3]); err == nil {
+		t.Error("truncated segment scanned cleanly")
+	}
+	payload := raw[ents[0].Offset : ents[0].Offset+ents[0].Length]
+	if _, err := decodeRecordPayload(payload[:len(payload)-3]); err == nil {
+		t.Error("truncated payload decoded cleanly")
 	}
 }
 
+// TestDecodeRecordRejectsHugeCount feeds a vertex capture whose edge
+// count is far larger than the payload: the decoder must report
+// corruption rather than size an allocation from it.
+func TestDecodeRecordRejectsHugeCount(t *testing.T) {
+	e := pregel.NewEncoder()
+	e.PutUvarint(uint64(kindVertexCapture))
+	e.PutUvarint(0) // superstep
+	e.PutUvarint(0) // worker
+	e.PutVarint(1)  // vertex ID
+	e.PutUvarint(0) // reasons
+	pregel.EncodeTyped(e, nil)
+	pregel.EncodeTyped(e, nil)
+	e.PutBool(false)
+	e.PutUvarint(1 << 62) // edge count
+	if _, err := decodeRecordPayload(e.Bytes()); !errors.Is(err, pregel.ErrCorrupt) {
+		t.Fatalf("err = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestStoreLayoutAndDB pins the segmented on-disk layout and the
+// Reader's view of a two-worker job.
 func TestStoreLayoutAndDB(t *testing.T) {
 	fs := dfs.NewMemFS()
 	store := NewStore(fs, "graft/traces")
-	jw, err := store.NewJobWriter(JobMeta{
-		JobID: "job1", Algorithm: "gc", NumWorkers: 2, NumVertices: 4, NumEdges: 6,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	meta := sampleMeta()
 	meta.Superstep = 0
-	if err := jw.Master().WriteSuperstepMeta(meta); err != nil {
-		t.Fatal(err)
-	}
 	c1 := sampleVertexCapture()
 	c1.Superstep, c1.ID, c1.Worker = 0, 1, 0
 	c2 := sampleVertexCapture()
 	c2.Superstep, c2.ID, c2.Worker = 0, 2, 1
 	c2.Exception = nil
 	c2.Violations = nil
-	if err := jw.Worker(0).WriteVertexCapture(c1); err != nil {
-		t.Fatal(err)
-	}
-	if err := jw.Worker(1).WriteVertexCapture(c2); err != nil {
-		t.Fatal(err)
-	}
-	if err := jw.Finish(JobResult{Supersteps: 1, Reason: "converged", Captures: 2}); err != nil {
-		t.Fatal(err)
-	}
+	writeRecords(t, store, JobMeta{
+		JobID: "job1", Algorithm: "gc", NumWorkers: 2, NumVertices: 4, NumEdges: 6,
+	}, JobResult{Supersteps: 1, Reason: "converged", Captures: 2}, meta, c1, c2)
 
 	// Layout check.
 	names, _ := fs.List("graft/traces/job1/")
 	wantFiles := []string{
 		"graft/traces/job1/job.done",
 		"graft/traces/job1/job.meta",
-		"graft/traces/job1/master.trace",
-		"graft/traces/job1/worker_00.trace",
-		"graft/traces/job1/worker_01.trace",
+		"graft/traces/job1/master.idx",
+		"graft/traces/job1/master/seg_000000.seg",
+		"graft/traces/job1/worker_00.idx",
+		"graft/traces/job1/worker_00/seg_000000.seg",
+		"graft/traces/job1/worker_01.idx",
+		"graft/traces/job1/worker_01/seg_000000.seg",
 	}
 	if len(names) != len(wantFiles) {
 		t.Fatalf("files = %v", names)
@@ -242,30 +263,27 @@ func TestStoreLayoutAndDB(t *testing.T) {
 		t.Fatalf("jobs = %v, %v", jobs, err)
 	}
 
-	db, err := store.LoadDB("job1")
-	if err != nil {
-		t.Fatal(err)
+	r := openReader(t, store, "job1")
+	if m := r.JobMeta(); m.Algorithm != "gc" || m.NumWorkers != 2 {
+		t.Errorf("meta = %+v", m)
 	}
-	if db.Meta.Algorithm != "gc" || db.Meta.NumWorkers != 2 {
-		t.Errorf("meta = %+v", db.Meta)
+	if res := r.JobResult(); res == nil || res.Captures != 2 {
+		t.Errorf("result = %+v", res)
 	}
-	if db.Result == nil || db.Result.Captures != 2 {
-		t.Errorf("result = %+v", db.Result)
+	if r.TotalCaptures() != 2 {
+		t.Errorf("captures = %d", r.TotalCaptures())
 	}
-	if db.TotalCaptures() != 2 {
-		t.Errorf("captures = %d", db.TotalCaptures())
-	}
-	caps := db.CapturesAt(0)
+	caps := r.CapturesAt(0)
 	if len(caps) != 2 || caps[0].ID != 1 || caps[1].ID != 2 {
 		t.Errorf("captures at 0 = %+v", caps)
 	}
-	if got := db.CapturesOf(1); len(got) != 1 {
+	if got := r.CapturesOf(1); len(got) != 1 {
 		t.Errorf("CapturesOf(1) = %d", len(got))
 	}
-	if db.MaxSuperstep() != 0 {
-		t.Errorf("max superstep = %d", db.MaxSuperstep())
+	if r.MaxSuperstep() != 0 {
+		t.Errorf("max superstep = %d", r.MaxSuperstep())
 	}
-	st := db.StatusAt(0)
+	st := r.StatusAt(0)
 	if !st.MessageViolation || !st.Exception || st.VertexViolation {
 		t.Errorf("status = %+v", st)
 	}
@@ -278,34 +296,26 @@ func TestStoreLayoutAndDB(t *testing.T) {
 	}
 }
 
-func TestJobWriterValidation(t *testing.T) {
-	store := NewStore(dfs.NewMemFS(), "t")
-	if _, err := store.NewJobWriter(JobMeta{JobID: "", NumWorkers: 1}); err == nil {
-		t.Error("empty job ID accepted")
-	}
-	if _, err := store.NewJobWriter(JobMeta{JobID: "x", NumWorkers: 0}); err == nil {
-		t.Error("zero workers accepted")
-	}
-}
-
 func TestReadResultUnfinished(t *testing.T) {
 	store := NewStore(dfs.NewMemFS(), "t")
-	if _, err := store.NewJobWriter(JobMeta{JobID: "x", NumWorkers: 1}); err != nil {
+	sink, err := store.NewSink(JobMeta{JobID: "x", NumWorkers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.CloseFiles(); err != nil {
 		t.Fatal(err)
 	}
 	_, done, err := store.ReadResult("x")
 	if err != nil || done {
 		t.Fatalf("unfinished job: done=%v err=%v", done, err)
 	}
+	if r := openReader(t, store, "x"); r.JobResult() != nil {
+		t.Errorf("unfinished job has result %+v", r.JobResult())
+	}
 }
 
 func TestSearchQueries(t *testing.T) {
-	fs := dfs.NewMemFS()
-	store := NewStore(fs, "t")
-	jw, err := store.NewJobWriter(JobMeta{JobID: "q", Algorithm: "x", NumWorkers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	store := NewStore(dfs.NewMemFS(), "t")
 	mk := func(superstep int, id pregel.VertexID, val string, edgeTo pregel.VertexID, outVal string) *VertexCapture {
 		return &VertexCapture{
 			Superstep:  superstep,
@@ -315,27 +325,14 @@ func TestSearchQueries(t *testing.T) {
 			Outgoing:   []OutMsg{{To: edgeTo, Value: pregel.NewText(outVal)}},
 		}
 	}
-	for s := 0; s < 2; s++ {
-		if err := jw.Master().WriteSuperstepMeta(&SuperstepMeta{Superstep: s}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := jw.Worker(0).WriteVertexCapture(mk(0, 1, "RED", 2, "hello")); err != nil {
-		t.Fatal(err)
-	}
-	if err := jw.Worker(0).WriteVertexCapture(mk(0, 2, "BLUE", 3, "world")); err != nil {
-		t.Fatal(err)
-	}
-	if err := jw.Worker(0).WriteVertexCapture(mk(1, 1, "GREEN", 2, "hello again")); err != nil {
-		t.Fatal(err)
-	}
-	if err := jw.Finish(JobResult{}); err != nil {
-		t.Fatal(err)
-	}
-	db, err := store.LoadDB("q")
-	if err != nil {
-		t.Fatal(err)
-	}
+	writeRecords(t, store, JobMeta{JobID: "q", Algorithm: "x", NumWorkers: 1}, JobResult{},
+		&SuperstepMeta{Superstep: 0},
+		&SuperstepMeta{Superstep: 1},
+		mk(0, 1, "RED", 2, "hello"),
+		mk(0, 2, "BLUE", 3, "world"),
+		mk(1, 1, "GREEN", 2, "hello again"),
+	)
+	r := openReader(t, store, "q")
 
 	id1 := pregel.VertexID(1)
 	nbr2 := pregel.VertexID(2)
@@ -354,62 +351,59 @@ func TestSearchQueries(t *testing.T) {
 		{"no match", Query{Superstep: -1, ValueContains: "PURPLE"}, 0},
 	}
 	for _, c := range cases {
-		if got := len(db.Search(c.q)); got != c.want {
+		if got := len(r.Search(c.q)); got != c.want {
 			t.Errorf("%s: got %d matches, want %d", c.name, got, c.want)
 		}
 	}
 }
 
-func TestLoadDBRejectsCorruptTraceFile(t *testing.T) {
+// TestReaderRejectsCorruptSegment damages a written segment: a record
+// cut short and a file that is not a segment at all both surface as
+// errors from Verify and from the lookup path's Err.
+func TestReaderRejectsCorruptSegment(t *testing.T) {
 	fs := dfs.NewMemFS()
 	store := NewStore(fs, "t")
-	jw, err := store.NewJobWriter(JobMeta{JobID: "bad", Algorithm: "x", NumWorkers: 1})
+	c := sampleVertexCapture()
+	c.Worker = 0
+	writeRecords(t, store, JobMeta{JobID: "bad", Algorithm: "x", NumWorkers: 1}, JobResult{}, c)
+	const seg = "t/bad/worker_00/seg_000000.seg"
+	raw, err := dfs.ReadFile(fs, seg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := jw.Worker(0).WriteVertexCapture(sampleVertexCapture()); err != nil {
+	// Truncate the worker segment mid-record.
+	if err := dfs.WriteFile(fs, seg, raw[:len(raw)-5]); err != nil {
 		t.Fatal(err)
 	}
-	if err := jw.Finish(JobResult{}); err != nil {
+	r := openReader(t, store, "bad")
+	if err := r.Verify(); err == nil {
+		t.Error("Verify accepted a truncated segment")
+	}
+	if got := r.Capture(c.Superstep, c.ID); got != nil || r.Err() == nil {
+		t.Errorf("lookup in a truncated segment: capture %v, err %v", got, r.Err())
+	}
+	// And a file that is not a segment at all.
+	if err := dfs.WriteFile(fs, seg, []byte("garbage")); err != nil {
 		t.Fatal(err)
 	}
-	// Truncate the worker trace mid-record.
-	raw, err := dfs.ReadFile(fs, "t/bad/worker_00.trace")
-	if err != nil {
-		t.Fatal(err)
+	r = openReader(t, store, "bad")
+	if err := r.Verify(); !errors.Is(err, ErrBadMagic) {
+		t.Errorf("Verify err = %v, want bad magic", err)
 	}
-	if err := dfs.WriteFile(fs, "t/bad/worker_00.trace", raw[:len(raw)-5]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := store.LoadDB("bad"); err == nil {
-		t.Fatal("corrupt trace accepted")
-	}
-	// And a file that is not a trace at all.
-	if err := dfs.WriteFile(fs, "t/bad/worker_00.trace", []byte("garbage")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := store.LoadDB("bad"); !errors.Is(err, ErrBadMagic) {
-		t.Fatalf("err = %v, want bad magic", err)
+	if got := r.Capture(c.Superstep, c.ID); got != nil || !errors.Is(r.Err(), ErrBadMagic) {
+		t.Errorf("lookup in a garbage segment: capture %v, err %v", got, r.Err())
 	}
 }
 
-func TestLoadDBMissingJob(t *testing.T) {
+func TestOpenReaderMissingJob(t *testing.T) {
 	store := NewStore(dfs.NewMemFS(), "t")
-	if _, err := store.LoadDB("ghost"); err == nil {
+	if _, err := store.OpenReader("ghost"); err == nil {
 		t.Fatal("missing job accepted")
 	}
 }
 
 func TestCheckAdjacentPairsDirect(t *testing.T) {
-	fs := dfs.NewMemFS()
-	store := NewStore(fs, "t")
-	jw, err := store.NewJobWriter(JobMeta{JobID: "pairs", Algorithm: "x", NumWorkers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := jw.Master().WriteSuperstepMeta(&SuperstepMeta{Superstep: 0}); err != nil {
-		t.Fatal(err)
-	}
+	store := NewStore(dfs.NewMemFS(), "t")
 	mk := func(id pregel.VertexID, color int64, edges ...pregel.VertexID) *VertexCapture {
 		c := &VertexCapture{Superstep: 0, ID: id, ValueAfter: pregel.NewLong(color)}
 		for _, e := range edges {
@@ -419,23 +413,13 @@ func TestCheckAdjacentPairsDirect(t *testing.T) {
 	}
 	// 1-2 same color (violation), 2-3 different (ok), 1-9 where 9 is
 	// uncaptured (skipped).
-	for _, c := range []*VertexCapture{
+	writeRecords(t, store, JobMeta{JobID: "pairs", Algorithm: "x", NumWorkers: 1}, JobResult{},
+		&SuperstepMeta{Superstep: 0},
 		mk(1, 5, 2, 9),
 		mk(2, 5, 1, 3),
 		mk(3, 6, 2),
-	} {
-		if err := jw.Worker(0).WriteVertexCapture(c); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := jw.Finish(JobResult{}); err != nil {
-		t.Fatal(err)
-	}
-	db, err := store.LoadDB("pairs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := db.CheckAdjacentPairs(func(a, b *VertexCapture) bool {
+	)
+	got := CheckAdjacentPairs(openReader(t, store, "pairs"), func(a, b *VertexCapture) bool {
 		return !pregel.ValuesEqual(a.ValueAfter, b.ValueAfter)
 	})
 	if len(got) != 1 || got[0].A.ID != 1 || got[0].B.ID != 2 {

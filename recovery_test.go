@@ -37,6 +37,11 @@ func tracedRecoveryRun(t *testing.T, g *Graph, alg *algorithms.Algorithm, engine
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Recovered runs capture re-executed vertices twice; the index must
+	// still resolve every record to the copy a full scan keeps.
+	if err := db.Verify(); err != nil {
+		t.Fatal(err)
+	}
 	return db, res.Stats
 }
 
