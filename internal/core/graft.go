@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,10 +39,10 @@ type Graft struct {
 	// be recycled instead of allocated, keeping the instrumentation
 	// overhead near the paper's.
 	rcs []recordingContext
-	// capNanos accumulates per-worker time spent in capture
-	// instrumentation. Slots are cache-line padded: each worker writes
-	// only its own, the engine reads it at the barrier
-	// (pregel.CaptureTimeReporter).
+	// capNanos accumulates per-worker time spent writing captures:
+	// building capture records and enqueueing them. Slots are
+	// cache-line padded: each worker writes only its own, the engine
+	// reads it at the barrier (pregel.CaptureTimeReporter).
 	capNanos []paddedNanos
 
 	captures atomic.Int64
@@ -122,6 +123,9 @@ func Attach(store *trace.Store, opts Options, graph *pregel.Graph, cfg DebugConf
 		g.workerSinks[i] = sink.WorkerSink(i)
 	}
 	g.masterSink = sink.MasterSink()
+	for i := range g.rcs {
+		g.rcs[i].g = g
+	}
 	return g, nil
 }
 
@@ -353,7 +357,9 @@ type instrumentedComputation struct {
 }
 
 // CaptureNanos implements pregel.CaptureTimeReporter: cumulative time
-// worker w spent in Graft's capture instrumentation. Each worker
+// worker w spent writing captures (building capture records and
+// enqueueing them). Compute calls that are not captured accrue
+// nothing; snapshots and constraint checks are not timed. Each worker
 // updates only its own slot, and the engine reads it from the same
 // goroutine around the worker's compute loop, so plain loads suffice.
 func (ic *instrumentedComputation) CaptureNanos(w int) int64 {
@@ -370,7 +376,6 @@ func (ic *instrumentedComputation) Compute(ctx pregel.Context, v *pregel.Vertex,
 	if !g.cfg.observes(superstep) {
 		return ic.user.Compute(ctx, v, msgs)
 	}
-	capStart := time.Now()
 
 	staticReason := g.reasons[v.ID()]
 	needPre := staticReason != 0 || g.cfg.CaptureAllActive
@@ -396,7 +401,7 @@ func (ic *instrumentedComputation) Compute(ctx pregel.Context, v *pregel.Vertex,
 			"Options.NumWorkers must match pregel.Config.NumWorkers", worker+1, len(g.rcs)))
 	}
 	rec := &g.rcs[worker]
-	rec.reset(ctx, g, v)
+	rec.reset(ctx, v.ID())
 
 	// The §7 extension: message constraints that depend on the value
 	// of the destination vertex, checked at delivery time where that
@@ -416,12 +421,6 @@ func (ic *instrumentedComputation) Compute(ctx pregel.Context, v *pregel.Vertex,
 		}
 	}
 
-	// Attribute instrumentation time (snapshotting, constraint checks,
-	// capture writes) to this worker's slot, excluding the user compute
-	// itself, so the engine can report capture overhead per superstep.
-	capSlot := &g.capNanos[worker]
-	capSlot.n += time.Since(capStart).Nanoseconds()
-
 	var exc *trace.ExceptionInfo
 	err := func() (err error) {
 		defer func() {
@@ -433,8 +432,6 @@ func (ic *instrumentedComputation) Compute(ctx pregel.Context, v *pregel.Vertex,
 		}()
 		return ic.user.Compute(rec, v, msgs)
 	}()
-	capStart = time.Now()
-	defer func() { capSlot.n += time.Since(capStart).Nanoseconds() }()
 	if err != nil && exc == nil {
 		exc = &trace.ExceptionInfo{Message: err.Error()}
 	}
@@ -465,12 +462,17 @@ func (ic *instrumentedComputation) Compute(ctx pregel.Context, v *pregel.Vertex,
 	if reasons != 0 {
 		g.capture(ctx, v, msgs, rec, reasons, valueBefore, edgesBefore, exc)
 	}
+	// Any record holds its own clones now, so the buffered sends can
+	// go to the engine; on the error and panic paths too, since the
+	// user Compute made them before it failed.
+	rec.handoff()
 	return err
 }
 
 // capture writes one vertex capture record, respecting the MaxCaptures
 // safety net. Values are deep-copied here — only for vertices that are
-// actually captured — so the record is immune to later mutation.
+// actually captured — so the record is immune to later mutation. Only
+// this path is timed into the worker's capture-time slot.
 func (g *Graft) capture(ctx pregel.Context, v *pregel.Vertex, msgs []pregel.Value,
 	rec *recordingContext, reasons trace.Reason,
 	valueBefore pregel.Value, edgesBefore []pregel.Edge, exc *trace.ExceptionInfo) {
@@ -492,6 +494,7 @@ func (g *Graft) capture(ctx pregel.Context, v *pregel.Vertex, msgs []pregel.Valu
 	} else {
 		g.captures.Add(1)
 	}
+	start := time.Now()
 
 	c := &trace.VertexCapture{
 		Superstep:   ctx.Superstep(),
@@ -514,13 +517,11 @@ func (g *Graft) capture(ctx pregel.Context, v *pregel.Vertex, msgs []pregel.Valu
 	for i, m := range msgs {
 		c.Incoming[i] = pregel.CloneValue(m)
 	}
-	// Values in rec.outgoing are already private clones (made at send
-	// time); only the slice header is reused across vertices.
-	c.Outgoing = make([]trace.OutMsg, len(rec.outgoing))
-	copy(c.Outgoing, rec.outgoing)
+	c.Outgoing = rec.outgoing()
 	// The sink owns drop accounting: Drop-policy discards and failed
 	// segment commits are counted there, without poisoning Err().
 	_ = g.workerSinks[ctx.WorkerID()].WriteVertexCapture(c)
+	g.capNanos[ctx.WorkerID()].n += time.Since(start).Nanoseconds()
 }
 
 func cloneEdges(edges []pregel.Edge) []pregel.Edge {
@@ -532,59 +533,132 @@ func cloneEdges(edges []pregel.Edge) []pregel.Edge {
 }
 
 // recordingContext intercepts message sends to check the message
-// constraint and to remember what a captured vertex sent. Instances
-// are recycled per worker; reset prepares one for the next vertex.
+// constraint and to remember what the vertex sent. Instances are
+// recycled per worker; reset prepares one for the next vertex.
+//
+// Sends are buffered, not forwarded: each one appends its Value,
+// uncloned, and its target(s) as of send time, and handoff passes them
+// to the engine in order once the user Compute has returned and the
+// capture decision is made. Sharing the Value until then is safe. The
+// Pregel contract is that the plane owns a Value once it is sent, so
+// the user no longer writes to it; the only code that does is the
+// plane's combiner, which folds later sends into stored entries
+// (sender-side combining), and it cannot touch a buffered Value before
+// handoff. So capture clones exactly the values that were sent, and a
+// vertex that is not captured pays no clone at all.
 type recordingContext struct {
 	pregel.Context
-	g *Graft
-	v *pregel.Vertex
+	g  *Graft
+	id pregel.VertexID // the computing vertex
 
-	outgoing        []trace.OutMsg
+	sends []pendingSend
+	// targets holds the recipients of every buffered send, each send
+	// owning the window targets[lo:hi].
+	targets         []pregel.VertexID
 	violations      []trace.Violation
 	sawMsgViolation bool
+	// Pads the per-worker contexts, which sit side by side in
+	// Graft.rcs, so that adjacent workers never share a cache line.
+	_ [64]byte
 }
 
-func (c *recordingContext) reset(ctx pregel.Context, g *Graft, v *pregel.Vertex) {
-	c.Context, c.g, c.v = ctx, g, v
-	c.outgoing = c.outgoing[:0]
+// pendingSend is one buffered SendMessage (fan == nil, one target) or
+// SendMessageToAllEdges (fan is the vertex whose edges it went along).
+type pendingSend struct {
+	msg    pregel.Value
+	fan    *pregel.Vertex
+	lo, hi int
+}
+
+func (c *recordingContext) reset(ctx pregel.Context, id pregel.VertexID) {
+	c.Context, c.id = ctx, id
+	c.sends = c.sends[:0]
+	c.targets = c.targets[:0]
 	c.violations = nil // retained by the capture record, so never reused
 	c.sawMsgViolation = false
 }
 
-// SendMessage implements pregel.Context.
-func (c *recordingContext) SendMessage(to pregel.VertexID, msg pregel.Value) {
+// checkSend applies the message constraint to one send.
+func (c *recordingContext) checkSend(to pregel.VertexID, msg pregel.Value) {
 	g := c.g
 	if g.cfg.MessageConstraint != nil &&
-		!g.cfg.MessageConstraint(msg, c.v.ID(), to, c.Context.Superstep()) {
+		!g.cfg.MessageConstraint(msg, c.id, to, c.Context.Superstep()) {
 		c.sawMsgViolation = true
 		c.violations = append(c.violations, trace.Violation{
 			Kind:  trace.MessageViolation,
-			SrcID: c.v.ID(),
+			SrcID: c.id,
 			DstID: to,
 			Value: pregel.CloneValue(msg),
 		})
 	}
-	// The record must clone at send time: once msg reaches the plane a
-	// combiner may mutate it in place (sender-side combining folds later
-	// sends into stored entries during this same compute call), which
-	// would retroactively rewrite the recorded value.
-	c.outgoing = append(c.outgoing, trace.OutMsg{To: to, Value: pregel.CloneValue(msg)})
-	c.Context.SendMessage(to, msg)
 }
 
-// SendMessageToAllEdges implements pregel.Context, routing every copy
-// through the recording SendMessage. The original is sent on the last
-// edge for the same reason as the engine's own implementation: the
-// plane owns a Value once sent and may mutate it, so cloning msg after
-// handing it off would copy combiner mutations into later recipients.
+// SendMessage implements pregel.Context.
+func (c *recordingContext) SendMessage(to pregel.VertexID, msg pregel.Value) {
+	c.checkSend(to, msg)
+	lo := len(c.targets)
+	c.targets = append(c.targets, to)
+	c.sends = append(c.sends, pendingSend{msg: msg, lo: lo, hi: lo + 1})
+}
+
+// SendMessageToAllEdges implements pregel.Context. The message
+// constraint sees every edge, and the targets are recorded as they are
+// now, so edges added or removed later in the same Compute do not
+// change who receives it.
 func (c *recordingContext) SendMessageToAllEdges(v *pregel.Vertex, msg pregel.Value) {
 	edges := v.Edges()
-	last := len(edges) - 1
-	for i, e := range edges {
-		m := msg
-		if i < last {
-			m = msg.Clone()
-		}
-		c.SendMessage(e.Target, m)
+	if len(edges) == 0 {
+		return
 	}
+	lo := len(c.targets)
+	for _, e := range edges {
+		c.checkSend(e.Target, msg)
+		c.targets = append(c.targets, e.Target)
+	}
+	c.sends = append(c.sends, pendingSend{msg: msg, fan: v, lo: lo, hi: len(c.targets)})
+}
+
+// outgoing deep-copies the buffered sends into a capture record's
+// Outgoing list, one entry per recipient in send order.
+func (c *recordingContext) outgoing() []trace.OutMsg {
+	out := make([]trace.OutMsg, 0, len(c.targets))
+	for _, s := range c.sends {
+		for _, to := range c.targets[s.lo:s.hi] {
+			out = append(out, trace.OutMsg{To: to, Value: pregel.CloneValue(s.msg)})
+		}
+	}
+	return out
+}
+
+// handoff forwards the buffered sends to the engine in order. A
+// fan-out whose vertex still has the edge targets it was sent along
+// goes out as one engine SendMessageToAllEdges, keeping the engine's
+// own fan-out path (its ImmutableValue sharing included). Otherwise
+// each recorded target gets its own send, the original Value on the
+// last and clones on the ones before: once handed off, a combiner may
+// mutate the original in place, so it must not be cloned afterwards.
+func (c *recordingContext) handoff() {
+	for _, s := range c.sends {
+		targets := c.targets[s.lo:s.hi]
+		if s.fan == nil {
+			c.Context.SendMessage(targets[0], s.msg)
+			continue
+		}
+		if slices.EqualFunc(s.fan.Edges(), targets, func(e pregel.Edge, to pregel.VertexID) bool {
+			return e.Target == to
+		}) {
+			c.Context.SendMessageToAllEdges(s.fan, s.msg)
+			continue
+		}
+		last := len(targets) - 1
+		for i, to := range targets {
+			m := s.msg
+			if i < last {
+				m = s.msg.Clone()
+			}
+			c.Context.SendMessage(to, m)
+		}
+	}
+	c.sends = c.sends[:0]
+	c.targets = c.targets[:0]
 }

@@ -17,12 +17,19 @@ import (
 // SubgraphCapture carrying the component structure, the internal
 // iteration count and the per-component value digest.
 func (g *Graft) InstrumentSubgraph(comp pregel.SubgraphComputation) pregel.SubgraphComputation {
-	return &instrumentedSubgraph{g: g, user: comp}
+	is := &instrumentedSubgraph{g: g, user: comp, rscs: make([]recordingSubgraphContext, len(g.capNanos))}
+	for i := range is.rscs {
+		is.rscs[i].g = g
+	}
+	return is
 }
 
 type instrumentedSubgraph struct {
 	g    *Graft
 	user pregel.SubgraphComputation
+	// rscs holds one reusable recording context per worker, recycled
+	// like the vertex-mode recordingContext.
+	rscs []recordingSubgraphContext
 }
 
 // CaptureNanos implements pregel.CaptureTimeReporter; see
@@ -41,7 +48,6 @@ func (is *instrumentedSubgraph) ComputeSubgraph(ctx pregel.SubgraphContext, sg *
 	if !g.cfg.observes(superstep) {
 		return is.user.ComputeSubgraph(ctx, sg)
 	}
-	capStart := time.Now()
 
 	members := sg.Members()
 	anyStatic := false
@@ -71,20 +77,28 @@ func (is *instrumentedSubgraph) ComputeSubgraph(ctx pregel.SubgraphContext, sg *
 	}
 
 	worker := ctx.WorkerID()
-	if worker >= len(g.capNanos) {
+	if worker >= len(is.rscs) {
 		panic(fmt.Sprintf("core: job runs with at least %d workers but Attach was told %d; "+
-			"Options.NumWorkers must match pregel.Config.NumWorkers", worker+1, len(g.capNanos)))
+			"Options.NumWorkers must match pregel.Config.NumWorkers", worker+1, len(is.rscs)))
 	}
-	rsc := &recordingSubgraphContext{SubgraphContext: ctx, g: g}
+	rsc := &is.rscs[worker]
+	rsc.reset(ctx)
 
 	// Per-member incoming-message constraint (§7 extension), checked
-	// against the member's value at delivery time.
-	violations := map[pregel.VertexID][]trace.Violation{}
+	// against the member's value at delivery time. The map is made on
+	// the first violation, so a clean call allocates none.
+	var violations map[pregel.VertexID][]trace.Violation
+	addViolation := func(id pregel.VertexID, viol trace.Violation) {
+		if violations == nil {
+			violations = map[pregel.VertexID][]trace.Violation{}
+		}
+		violations[id] = append(violations[id], viol)
+	}
 	if g.cfg.IncomingMessageConstraint != nil {
 		for i, v := range members {
 			for _, m := range sg.Messages(i) {
 				if !g.cfg.IncomingMessageConstraint(m, v.Value(), v.ID(), superstep) {
-					violations[v.ID()] = append(violations[v.ID()], trace.Violation{
+					addViolation(v.ID(), trace.Violation{
 						Kind:  trace.IncomingMessageViolation,
 						SrcID: -1,
 						DstID: v.ID(),
@@ -94,9 +108,6 @@ func (is *instrumentedSubgraph) ComputeSubgraph(ctx pregel.SubgraphContext, sg *
 			}
 		}
 	}
-
-	capSlot := &g.capNanos[worker]
-	capSlot.n += time.Since(capStart).Nanoseconds()
 
 	var exc *trace.ExceptionInfo
 	err := func() (err error) {
@@ -109,20 +120,18 @@ func (is *instrumentedSubgraph) ComputeSubgraph(ctx pregel.SubgraphContext, sg *
 		}()
 		return is.user.ComputeSubgraph(rsc, sg)
 	}()
-	capStart = time.Now()
-	defer func() { capSlot.n += time.Since(capStart).Nanoseconds() }()
 	if err != nil && exc == nil {
 		exc = &trace.ExceptionInfo{Message: err.Error()}
 	}
 
 	// Fold send-time message violations into their senders' rows.
 	for _, viol := range rsc.violations {
-		violations[viol.SrcID] = append(violations[viol.SrcID], viol)
+		addViolation(viol.SrcID, viol)
 	}
 	if err == nil && g.cfg.VertexValueConstraint != nil {
 		for _, v := range members {
 			if !g.cfg.VertexValueConstraint(v.Value(), v.ID(), superstep) {
-				violations[v.ID()] = append(violations[v.ID()], trace.Violation{
+				addViolation(v.ID(), trace.Violation{
 					Kind:  trace.VertexValueViolation,
 					SrcID: v.ID(),
 					DstID: v.ID(),
@@ -159,12 +168,17 @@ func (is *instrumentedSubgraph) ComputeSubgraph(ctx pregel.SubgraphContext, sg *
 	if subReasons != 0 {
 		g.captureSubgraph(ctx, sg, rsc, valuesBefore, edgesBefore, violations, exc)
 	}
+	// As in vertex mode: the records hold their own clones, so the
+	// buffered sends can go to the engine now.
+	rsc.handoff()
 	return err
 }
 
 // captureSubgraph writes one VertexCapture per member plus the
 // SubgraphCapture summary, respecting the MaxCaptures safety net
 // (each member record counts toward the limit, like vertex mode).
+// It is the only subgraph-mode path timed into the worker's
+// capture-time slot.
 func (g *Graft) captureSubgraph(ctx pregel.SubgraphContext, sg *pregel.Subgraph,
 	rsc *recordingSubgraphContext, valuesBefore []pregel.Value, edgesBefore [][]pregel.Edge,
 	violations map[pregel.VertexID][]trace.Violation, exc *trace.ExceptionInfo) {
@@ -172,10 +186,13 @@ func (g *Graft) captureSubgraph(ctx pregel.SubgraphContext, sg *pregel.Subgraph,
 	if g.ctx.Err() != nil {
 		return
 	}
+	start := time.Now()
 	superstep, worker := ctx.Superstep(), ctx.WorkerID()
+	defer func() { g.capNanos[worker].n += time.Since(start).Nanoseconds() }()
 	members := sg.Members()
 	sink := g.workerSinks[worker]
 	memberIDs := make([]pregel.VertexID, len(members))
+	outgoing := rsc.outgoing()
 
 	for i, v := range members {
 		memberIDs[i] = v.ID()
@@ -243,7 +260,7 @@ func (g *Graft) captureSubgraph(ctx pregel.SubgraphContext, sg *pregel.Subgraph,
 		for j, m := range in {
 			c.Incoming[j] = pregel.CloneValue(m)
 		}
-		c.Outgoing = rsc.outgoing[v.ID()]
+		c.Outgoing = outgoing[v.ID()]
 		_ = sink.WriteVertexCapture(c)
 	}
 
@@ -253,7 +270,7 @@ func (g *Graft) captureSubgraph(ctx pregel.SubgraphContext, sg *pregel.Subgraph,
 		ID:           sg.ID(),
 		Members:      memberIDs,
 		Iterations:   rsc.iterations,
-		MessagesSent: rsc.sent,
+		MessagesSent: int64(len(rsc.sends)),
 		HaltedAfter:  rsc.halted,
 		Digest:       sg.ValuesDigest(),
 	})
@@ -261,21 +278,34 @@ func (g *Graft) captureSubgraph(ctx pregel.SubgraphContext, sg *pregel.Subgraph,
 
 // recordingSubgraphContext intercepts the subgraph context's sends (to
 // check the message constraint and attribute outgoing messages to
-// their sending member), halt votes, and iteration reports.
+// their sending member), halt votes, and iteration reports. Sends are
+// buffered uncloned and handed off after the capture decision, for
+// the reasons given on the vertex-mode recordingContext.
 type recordingSubgraphContext struct {
 	pregel.SubgraphContext
 	g *Graft
 
-	outgoing   map[pregel.VertexID][]trace.OutMsg
+	sends      []pendingSubgraphSend
 	violations []trace.Violation
-	sent       int64
 	iterations int64
 	halted     bool
+	_          [64]byte // see recordingContext
 }
 
-// SendMessage implements pregel.SubgraphContext. Like the vertex-mode
-// recording context it clones at send time, before any combiner can
-// mutate the value in the plane.
+// pendingSubgraphSend is one buffered SendMessage.
+type pendingSubgraphSend struct {
+	from, to pregel.VertexID
+	msg      pregel.Value
+}
+
+func (c *recordingSubgraphContext) reset(ctx pregel.SubgraphContext) {
+	c.SubgraphContext = ctx
+	c.sends = c.sends[:0]
+	c.violations = nil // retained by the capture records, so never reused
+	c.iterations, c.halted = 0, false
+}
+
+// SendMessage implements pregel.SubgraphContext.
 func (c *recordingSubgraphContext) SendMessage(from, to pregel.VertexID, msg pregel.Value) {
 	g := c.g
 	if g.cfg.MessageConstraint != nil &&
@@ -287,12 +317,25 @@ func (c *recordingSubgraphContext) SendMessage(from, to pregel.VertexID, msg pre
 			Value: pregel.CloneValue(msg),
 		})
 	}
-	if c.outgoing == nil {
-		c.outgoing = map[pregel.VertexID][]trace.OutMsg{}
+	c.sends = append(c.sends, pendingSubgraphSend{from: from, to: to, msg: msg})
+}
+
+// outgoing deep-copies the buffered sends into per-member Outgoing
+// lists, each in send order.
+func (c *recordingSubgraphContext) outgoing() map[pregel.VertexID][]trace.OutMsg {
+	out := map[pregel.VertexID][]trace.OutMsg{}
+	for _, s := range c.sends {
+		out[s.from] = append(out[s.from], trace.OutMsg{To: s.to, Value: pregel.CloneValue(s.msg)})
 	}
-	c.outgoing[from] = append(c.outgoing[from], trace.OutMsg{To: to, Value: pregel.CloneValue(msg)})
-	c.sent++
-	c.SubgraphContext.SendMessage(from, to, msg)
+	return out
+}
+
+// handoff forwards the buffered sends to the engine in order.
+func (c *recordingSubgraphContext) handoff() {
+	for _, s := range c.sends {
+		c.SubgraphContext.SendMessage(s.from, s.to, s.msg)
+	}
+	c.sends = c.sends[:0]
 }
 
 // VoteToHalt implements pregel.SubgraphContext.

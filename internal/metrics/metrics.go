@@ -43,7 +43,10 @@ type Totals struct {
 	ComputeNanos int64 `json:"compute_ns"`
 	// BarrierNanos sums worker idle time lost to stragglers.
 	BarrierNanos int64 `json:"barrier_ns"`
-	// CaptureNanos sums time spent inside Graft's trace capture.
+	// CaptureNanos sums time spent writing Graft trace captures:
+	// building and enqueueing the records of captured vertices.
+	// Constraint checks and snapshots of uncaptured calls count as
+	// compute, not capture.
 	CaptureNanos int64 `json:"capture_ns"`
 	// FlushNanos sums the coordinator time spent draining the capture
 	// pipeline at superstep barriers (zero for undebugged runs and for
@@ -113,8 +116,9 @@ func (t *Totals) add(ss pregel.SuperstepStats) {
 }
 
 // CaptureOverhead returns the fraction of worker compute wall time
-// spent inside trace capture — the live equivalent of the paper's
-// Figure 8 overhead measurement.
+// spent writing trace captures. It is the capture-writing share of the
+// paper's Figure 8 overhead; constraint checking shows up in compute
+// time, not here.
 func (t Totals) CaptureOverhead() float64 {
 	if t.ComputeNanos == 0 {
 		return 0

@@ -187,8 +187,11 @@ type SuperstepStats struct {
 	// workers of (slowest worker's compute time - own compute time). It
 	// is the capacity lost to stragglers this superstep.
 	BarrierWait time.Duration `json:"barrier_ns"`
-	// CaptureTime is the total time workers spent inside Graft's trace
-	// capture instrumentation (zero for undebugged runs).
+	// CaptureTime is the total time workers spent writing Graft trace
+	// captures: building the records of the vertices that were captured
+	// and enqueueing them (zero for undebugged runs). The per-call work
+	// of the instrumenter (value snapshots, constraint checks, buffering
+	// sends) is not included; it counts as compute.
 	CaptureTime time.Duration `json:"capture_ns"`
 	// ComputeSkew is max/mean worker compute time (1.0 = perfectly
 	// balanced; values well above 1 indicate a straggler).
@@ -264,7 +267,9 @@ type WorkerStepStats struct {
 	MessagesReceived  int64         `json:"received"`
 	ComputeTime       time.Duration `json:"compute_ns"`
 	BarrierWait       time.Duration `json:"barrier_ns"`
-	CaptureTime       time.Duration `json:"capture_ns"`
+	// CaptureTime is the worker's time writing captures; see
+	// SuperstepStats.CaptureTime.
+	CaptureTime time.Duration `json:"capture_ns"`
 	// Subgraphs and Iterations are the worker's ModeSubgraph telemetry
 	// (zero in vertex mode).
 	Subgraphs  int64 `json:"subgraphs,omitempty"`
@@ -290,13 +295,14 @@ type CaptureQueueReporter interface {
 }
 
 // CaptureTimeReporter is implemented by instrumented computations
-// (internal/core) that account, per worker, the time spent capturing
-// debugger state. The engine samples it around each worker's compute
-// loop to attribute capture overhead in SuperstepStats; each worker
-// only reads its own slot, so implementations need no locking beyond
-// per-worker storage.
+// (internal/core) that account, per worker, the time spent writing
+// captures: building capture records and enqueueing them, for the
+// compute calls that are captured. The engine samples it around each
+// worker's compute loop to attribute capture time in SuperstepStats;
+// each worker only reads its own slot, so implementations need no
+// locking beyond per-worker storage.
 type CaptureTimeReporter interface {
-	// CaptureNanos returns the cumulative nanoseconds worker w spent in
-	// capture instrumentation since the job started.
+	// CaptureNanos returns the cumulative nanoseconds worker w spent
+	// writing captures since the job started.
 	CaptureNanos(w int) int64
 }
