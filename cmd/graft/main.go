@@ -155,8 +155,6 @@ func cmdRun(args []string) error {
 	segmentSize := fs.Int("segment-size", trace.DefaultSegmentSize, "trace segment size in bytes before sealing")
 	backpressure := fs.String("backpressure", "block", "capture queue policy when full: block or drop")
 	queueCap := fs.Int("capture-queue", trace.DefaultQueueCapacity, "per-worker capture queue depth")
-	syncCapture := fs.Bool("sync-capture", false, "write trace records inline instead of through the async pipeline")
-	msgPlane := fs.String("msg-plane", "lanes", "message plane: lanes (lock-free per-sender lanes) or mutex (sharded locks)")
 	msgBatch := fs.Int("msg-batch", 0, "messages buffered per destination partition before flushing (0: default 1024)")
 	partitioner := fs.String("partitioner", "hash", "vertex placement: hash (stateless modulo) or locality (streaming neighbor-affinity placer)")
 	rebalanceSkew := fs.Float64("rebalance-skew", 0, "migrate hot vertices off stragglers when compute/message skew exceeds this ratio (0 disables)")
@@ -166,15 +164,6 @@ func cmdRun(args []string) error {
 	anomalyOut := fs.String("anomaly-out", "", "write detected anomaly events to this file as JSON Lines")
 	fs.Parse(args)
 
-	var plane pregel.PlaneMode
-	switch *msgPlane {
-	case "lanes":
-		plane = pregel.PlaneLanes
-	case "mutex":
-		plane = pregel.PlaneMutex
-	default:
-		return fmt.Errorf("unknown -msg-plane %q (lanes, mutex)", *msgPlane)
-	}
 	var placer pregel.PartitionerMode
 	switch *partitioner {
 	case "hash":
@@ -231,7 +220,6 @@ func cmdRun(args []string) error {
 		Master:             a.Master,
 		MaxSupersteps:      a.MaxSupersteps,
 		DisableMetrics:     *noMetrics,
-		MessagePlane:       plane,
 		MsgFlushBatch:      *msgBatch,
 		Partitioner:        placer,
 		RebalanceSkew:      *rebalanceSkew,
@@ -346,9 +334,6 @@ func cmdRun(args []string) error {
 		traceOpts = append(traceOpts, trace.WithBackpressure(trace.Drop))
 	default:
 		return fmt.Errorf("run: -backpressure must be block or drop, got %q", *backpressure)
-	}
-	if *syncCapture {
-		traceOpts = append(traceOpts, trace.WithSynchronous())
 	}
 
 	var session *core.Graft

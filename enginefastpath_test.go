@@ -6,17 +6,16 @@ import (
 
 	"graft/internal/algorithms"
 	"graft/internal/graphgen"
-	"graft/internal/trace"
 )
 
 // TestPartitionSkipDigestEquivalence is the acceptance check for the
 // halted-partition fast path: skipping partitions with zero active
-// vertices and no pending messages must change nothing observable —
-// the fully-captured trace (values, halt states, message multisets)
-// and the headline stats are identical with the fast path on and off.
-// SSSP is the stressor: its frontier sweeps the graph in waves, so
-// most supersteps leave whole partitions halted, which is exactly when
-// the skip triggers.
+// vertices and no pending messages must change nothing observable, so
+// the fully captured trace (values, halt states, message multisets)
+// and the headline stats must match the sequential oracle, which
+// visits every vertex every superstep. SSSP is the stressor: its
+// frontier sweeps the graph in waves, so most supersteps leave whole
+// partitions halted, which is exactly when the skip triggers.
 func TestPartitionSkipDigestEquivalence(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -38,20 +37,7 @@ func TestPartitionSkipDigestEquivalence(t *testing.T) {
 		for _, crashAt := range []int{-1, 1} {
 			label := fmt.Sprintf("%s/crash=%d", tc.name, crashAt)
 			t.Run(label, func(t *testing.T) {
-				skipView, skipStats := tracedPlaneRun(t, tc.build(), tc.alg(), false,
-					EngineConfig{NumWorkers: 4}, crashAt)
-				scanView, scanStats := tracedPlaneRun(t, tc.build(), tc.alg(), false,
-					EngineConfig{NumWorkers: 4, NoPartitionSkip: true}, crashAt)
-				requireNoDiff(t, label, skipView, scanView)
-				if skipStats.Supersteps != scanStats.Supersteps {
-					t.Errorf("supersteps: skip=%d full-scan=%d", skipStats.Supersteps, scanStats.Supersteps)
-				}
-				if skipStats.TotalMessages != scanStats.TotalMessages {
-					t.Errorf("messages: skip=%d full-scan=%d", skipStats.TotalMessages, scanStats.TotalMessages)
-				}
-				if trace.Digest(skipView) != trace.Digest(scanView) {
-					t.Error("canonical trace digests differ between skip and full scan")
-				}
+				oracleCase(t, label, tc.build(), tc.alg(), false, EngineConfig{NumWorkers: 4}, crashAt)
 			})
 		}
 	}
@@ -60,23 +46,11 @@ func TestPartitionSkipDigestEquivalence(t *testing.T) {
 // TestPartitionSkipWithMutationsAndRebalance layers the bookkeeping
 // hazards on top: vertex additions via the missing-vertex resolver and
 // skew-driven migrations both move active counts between partitions,
-// and the digest must still be identical with the fast path on and off.
+// and the trace must still match the oracle's.
 func TestPartitionSkipWithMutationsAndRebalance(t *testing.T) {
-	run := func(noSkip bool) (string, *Stats) {
-		cfg := EngineConfig{NumWorkers: 4, RebalanceSkew: 1.3, RebalanceMaxMoves: 64,
-			NoPartitionSkip: noSkip, CreateMissingVertices: true}
-		view, stats := tracedPlaneRun(t, broomGraph(300, 40), algorithms.NewConnectedComponents(), false, cfg, -1)
-		return trace.Digest(view), stats
-	}
-	skipDigest, skipStats := run(false)
-	scanDigest, scanStats := run(true)
-	// Migration *counts* are allowed to differ — skew is measured from
-	// wall-clock compute times, and the fast path changes what a skipped
-	// partition reports — but placement must never leak into results.
-	if skipStats.Rebalances == 0 || scanStats.Rebalances == 0 {
-		t.Fatalf("rebalancer never triggered: skip=%+v full-scan=%+v", skipStats, scanStats)
-	}
-	if skipDigest != scanDigest {
-		t.Fatalf("digest changed with fast path enabled:\nskip: %s\nscan: %s", skipDigest, scanDigest)
+	cfg := EngineConfig{NumWorkers: 4, RebalanceSkew: 1.3, RebalanceMaxMoves: 64, CreateMissingVertices: true}
+	stats := oracleCase(t, "broom", broomGraph(300, 40), algorithms.NewConnectedComponents(), false, cfg, -1)
+	if stats.Rebalances == 0 {
+		t.Fatalf("rebalancer never triggered: %+v", stats)
 	}
 }

@@ -64,12 +64,32 @@ func requireNoDiff(t *testing.T, label string, a, b trace.View) {
 	}
 }
 
-// TestPlaneEquivalenceProperty is the cross-plane property test: for
-// order-insensitive reductions (min-based combiners and min folds in
-// compute), the lane-matrix plane must produce bit-identical traces to
-// the seed mutex plane — same values, same halt states, same message
-// multisets — across algorithms, random graph seeds, combiner on/off,
-// and chaos (simulated crash + checkpoint recovery).
+// oracleCase runs alg over g through the engine with every vertex
+// captured, and checks the trace against the oracle's crash-free run
+// of the same job.
+func oracleCase(t *testing.T, label string, g *Graph, alg *algorithms.Algorithm, stripCombiner bool, engine EngineConfig, crashAt int) *Stats {
+	t.Helper()
+	if stripCombiner {
+		copy := *alg
+		copy.Combiner = nil
+		alg = &copy
+	}
+	want := runOracle(t, g, alg, engine)
+	view, stats := tracedPlaneRun(t, g, alg, false, engine, crashAt)
+	if crashAt >= 0 && stats.Recoveries != 1 {
+		t.Fatalf("%s: recoveries = %d, want 1", label, stats.Recoveries)
+	}
+	requireOracleMatch(t, label, g, view, stats, want)
+	return stats
+}
+
+// TestPlaneEquivalenceProperty is the message-plane property test:
+// across algorithms, random graph seeds, combiner on/off, and chaos
+// (simulated crash + checkpoint recovery), the lane plane must produce
+// exactly the sequential oracle's computation — same values, same halt
+// states, same message multisets. The reductions are order-insensitive
+// (min-based combiners and min folds in compute), so sender-side
+// combining and lane merge order must not show.
 func TestPlaneEquivalenceProperty(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -93,15 +113,7 @@ func TestPlaneEquivalenceProperty(t *testing.T) {
 				for _, crashAt := range []int{-1, 1} {
 					label := fmt.Sprintf("%s/combiner=%v/seed=%d/crash=%d", tc.name, combine, seed, crashAt)
 					t.Run(label, func(t *testing.T) {
-						laneView, laneStats := tracedPlaneRun(t, tc.build(seed), tc.alg(), !combine,
-							EngineConfig{NumWorkers: 4, MessagePlane: pregel.PlaneLanes}, crashAt)
-						mutexView, mutexStats := tracedPlaneRun(t, tc.build(seed), tc.alg(), !combine,
-							EngineConfig{NumWorkers: 4, MessagePlane: pregel.PlaneMutex}, crashAt)
-						requireNoDiff(t, label, laneView, mutexView)
-						if laneStats.TotalMessages != mutexStats.TotalMessages {
-							t.Errorf("TotalMessages: lanes %d, mutex %d",
-								laneStats.TotalMessages, mutexStats.TotalMessages)
-						}
+						oracleCase(t, label, tc.build(seed), tc.alg(), !combine, EngineConfig{NumWorkers: 4}, crashAt)
 					})
 				}
 			}
@@ -110,30 +122,26 @@ func TestPlaneEquivalenceProperty(t *testing.T) {
 }
 
 // TestPlaneEquivalencePageRankSingleWorker covers the order-sensitive
-// float case. With one worker both planes deliver in exact send order,
-// so even IEEE-addition-order-sensitive PageRank must be bit-identical
-// across planes, with and without its sum combiner.
+// float case. With one worker the lane plane delivers in exact send
+// order, so even IEEE-addition-order-sensitive PageRank must be
+// bit-identical to the oracle, with and without its sum combiner.
 func TestPlaneEquivalencePageRankSingleWorker(t *testing.T) {
 	for _, combine := range []bool{true, false} {
 		t.Run(fmt.Sprintf("combiner=%v", combine), func(t *testing.T) {
-			build := func() *Graph { return graphgen.WebGraph(150, 4, 9) }
-			laneView, _ := tracedPlaneRun(t, build(), algorithms.NewPageRank(8, 0.85), !combine,
-				EngineConfig{NumWorkers: 1, MessagePlane: pregel.PlaneLanes}, -1)
-			mutexView, _ := tracedPlaneRun(t, build(), algorithms.NewPageRank(8, 0.85), !combine,
-				EngineConfig{NumWorkers: 1, MessagePlane: pregel.PlaneMutex}, -1)
-			requireNoDiff(t, "pagerank-1w", laneView, mutexView)
+			oracleCase(t, "pagerank-1w", graphgen.WebGraph(150, 4, 9), algorithms.NewPageRank(8, 0.85), !combine,
+				EngineConfig{NumWorkers: 1}, -1)
 		})
 	}
 }
 
 // TestLanePlaneRunToRunDeterminism: the lane plane merges inboxes in
 // canonical sender order, so even multi-worker float PageRank is
-// bit-reproducible run to run — the property the mutex plane cannot
-// offer. Verified via the canonical trace digest.
+// bit-reproducible run to run. Verified via the canonical trace
+// digest.
 func TestLanePlaneRunToRunDeterminism(t *testing.T) {
 	run := func() string {
 		view, _ := tracedPlaneRun(t, graphgen.WebGraph(200, 5, 4), algorithms.NewPageRank(6, 0.85), false,
-			EngineConfig{NumWorkers: 4, MessagePlane: pregel.PlaneLanes}, -1)
+			EngineConfig{NumWorkers: 4}, -1)
 		return trace.Digest(view)
 	}
 	first := run()
@@ -173,7 +181,7 @@ func broomGraph(spokes, tail int) *Graph {
 // trace digest, because placement must never leak into computation.
 func TestRebalanceDigestDeterminism(t *testing.T) {
 	run := func(rebalance bool) (string, *Stats) {
-		cfg := EngineConfig{NumWorkers: 4, MessagePlane: pregel.PlaneLanes}
+		cfg := EngineConfig{NumWorkers: 4}
 		if rebalance {
 			cfg.RebalanceSkew = 1.3
 			cfg.RebalanceMaxMoves = 64
@@ -205,7 +213,7 @@ func TestRebalanceDigestDeterminism(t *testing.T) {
 // exactly, with and without migrations.
 func TestSubgraphRebalanceDigestDeterminism(t *testing.T) {
 	run := func(mode pregel.ComputeMode, rebalance bool) (string, *Stats) {
-		cfg := EngineConfig{NumWorkers: 4, MessagePlane: pregel.PlaneLanes, ComputeMode: mode}
+		cfg := EngineConfig{NumWorkers: 4, ComputeMode: mode}
 		if rebalance {
 			cfg.RebalanceSkew = 1.3
 			cfg.RebalanceMaxMoves = 64
@@ -255,7 +263,7 @@ func TestSubgraphRebalanceDigestDeterminism(t *testing.T) {
 // route exactly like the pre-crash one.
 func TestRebalanceDigestDeterminismUnderChaos(t *testing.T) {
 	run := func(rebalance bool) (string, *Stats) {
-		cfg := EngineConfig{NumWorkers: 4, MessagePlane: pregel.PlaneLanes}
+		cfg := EngineConfig{NumWorkers: 4}
 		if rebalance {
 			cfg.RebalanceSkew = 1.3
 			cfg.RebalanceMaxMoves = 64

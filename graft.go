@@ -102,7 +102,7 @@ type (
 	// master).
 	RecordSink = trace.RecordSink
 	// TraceOption configures a TraceSink (segment size, backpressure,
-	// queue capacity, synchronous mode).
+	// queue capacity, batch size).
 	TraceOption = trace.Option
 	// BackpressurePolicy selects what a full capture queue does:
 	// Block (lossless) or Drop (non-blocking, counted).
@@ -129,9 +129,6 @@ type (
 	Combiner = pregel.Combiner
 	// FaultStats aggregates storage-resilience counters for one job.
 	FaultStats = pregel.FaultStats
-	// MessagePlaneMode selects the engine's message delivery path
-	// (PlaneLanes or PlaneMutex) via EngineConfig.MessagePlane.
-	MessagePlaneMode = pregel.PlaneMode
 	// ImmutableValue marks values that are never mutated after
 	// creation, letting SendMessageToAllEdges skip per-edge clones
 	// when no combiner is installed.
@@ -184,17 +181,6 @@ const (
 // reproduction tests use to rebuild a captured component.
 var NewDetachedSubgraph = pregel.NewDetachedSubgraph
 
-// Message-plane modes for EngineConfig.MessagePlane.
-const (
-	// PlaneLanes is the default lock-free plane: per-sender inbox
-	// lanes with sender-side combining, merged by the owning worker
-	// after the superstep barrier in deterministic sender order.
-	PlaneLanes = pregel.PlaneLanes
-	// PlaneMutex is the seed mutex-sharded plane, kept as the
-	// benchmark baseline.
-	PlaneMutex = pregel.PlaneMutex
-)
-
 // Recovery modes for EngineConfig.Recovery.
 const (
 	// RecoveryCheckpoint rolls the whole job back to the newest intact
@@ -203,7 +189,7 @@ const (
 	RecoveryCheckpoint = pregel.RecoveryCheckpoint
 	// RecoveryLog is log-based confined recovery: only failed
 	// partitions roll back and recompute, fed by the sender-side
-	// outbox logs, while survivors stay live. Requires PlaneLanes and
+	// outbox logs, while survivors stay live. Requires
 	// EngineConfig.MsgLogFS; degrades to a checkpoint restart when the
 	// logs cannot drive a replay.
 	RecoveryLog = pregel.RecoveryLog
@@ -232,8 +218,8 @@ const (
 	ObjectiveSkew = pregel.ObjectiveSkew
 	// ObjectiveEdgeCut migrates boundary vertices toward their heaviest
 	// communication partner when the traffic matrix shows a dominant
-	// cross-partition lane, shrinking the edge cut. Requires PlaneLanes
-	// and telemetry.
+	// cross-partition lane, shrinking the edge cut. Requires
+	// telemetry.
 	ObjectiveEdgeCut = pregel.ObjectiveEdgeCut
 )
 
@@ -281,10 +267,6 @@ var (
 	WithBatchSize = trace.WithBatchSize
 	// WithBackpressure selects the full-queue policy (Block or Drop).
 	WithBackpressure = trace.WithBackpressure
-	// WithSynchronous disables the background writers: records are
-	// encoded and written inline, the legacy behavior. Mostly useful
-	// for benchmarking the async pipeline against its baseline.
-	WithSynchronous = trace.WithSynchronous
 )
 
 // Re-exported value constructors, so user computations and generated
@@ -374,8 +356,8 @@ type RunOptions struct {
 	// Store receives trace files; required when Debug is set.
 	Store *Store
 	// Trace configures the capture pipeline (segment size,
-	// backpressure policy, queue capacity, synchronous mode). The
-	// zero value is the async pipeline with blocking backpressure.
+	// backpressure policy, queue capacity, batch size). The zero value
+	// is the default pipeline with blocking backpressure.
 	Trace []TraceOption
 	// Aggregators to register on the job.
 	Aggregators []AggregatorSpec

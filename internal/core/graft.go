@@ -72,8 +72,7 @@ type Options struct {
 	ComputeMode string
 	// Trace configures the capture pipeline (trace.WithSegmentSize,
 	// trace.WithBackpressure, trace.WithQueueCapacity,
-	// trace.WithSynchronous). The default is the asynchronous pipeline
-	// with Block backpressure.
+	// trace.WithBatchSize). The default is Block backpressure.
 	Trace []trace.Option
 	// Context, when non-nil, bounds the session: once canceled, new
 	// capture records are skipped instead of enqueued, so a canceled
@@ -274,8 +273,7 @@ func (g *Graft) JobStarted(info pregel.JobInfo) {
 // vertex capture of the superstep shares.
 func (g *Graft) SuperstepStarted(superstep int, info pregel.SuperstepInfo) {
 	if g.cfg.observes(superstep) {
-		// Drop accounting for failed writes happens inside the sink;
-		// a synchronous-mode error is already counted there too.
+		// Drop accounting for failed writes happens inside the sink.
 		_ = g.masterSink.WriteSuperstepMeta(&trace.SuperstepMeta{
 			Superstep:   superstep,
 			NumVertices: info.NumVertices,

@@ -203,17 +203,15 @@ func TestHandoffSenderSideCombining(t *testing.T) {
 		ctx.SendMessage(edges[0].Target, pregel.NewLong(2))
 		return nil
 	})
-	for _, plane := range []pregel.PlaneMode{pregel.PlaneLanes, pregel.PlaneMutex} {
-		t.Run(fmt.Sprint(plane), func(t *testing.T) {
-			checkHandoff(t, g, comp, pregel.Config{NumWorkers: 2, Combiner: sumCombiner, MessagePlane: plane},
-				DebugConfig{
-					CaptureIDs: []pregel.VertexID{0, 7},
-					MessageConstraint: func(msg pregel.Value, _, _ pregel.VertexID, _ int) bool {
-						return long(msg)%9 != 0
-					},
-				})
-		})
-	}
+	t.Run("lanes", func(t *testing.T) {
+		checkHandoff(t, g, comp, pregel.Config{NumWorkers: 2, Combiner: sumCombiner},
+			DebugConfig{
+				CaptureIDs: []pregel.VertexID{0, 7},
+				MessageConstraint: func(msg pregel.Value, _, _ pregel.VertexID, _ int) bool {
+					return long(msg)%9 != 0
+				},
+			})
+	})
 }
 
 // TestHandoffEdgesChangedAfterFanout: a vertex that fans out and then

@@ -282,7 +282,7 @@ func RunDFSBench(opts Options) ([]DFSBench, error) {
 			parallelTimes = append(parallelTimes, pT)
 			parStats = pS
 		}
-		serialBest, parallelBest := fastest(serialTimes), fastest(parallelTimes)
+		serialBest, parallelBest := Fastest(serialTimes), Fastest(parallelTimes)
 		row := DFSBench{
 			Workload:       wl.name,
 			Reps:           opts.Reps,

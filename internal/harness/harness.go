@@ -11,6 +11,7 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"text/tabwriter"
 	"time"
@@ -275,6 +276,15 @@ func meanStd(times []time.Duration) (time.Duration, time.Duration) {
 	}
 	std := math.Sqrt(vs / float64(len(times)))
 	return time.Duration(mean), time.Duration(std)
+}
+
+// Fastest returns the minimum of times (0 if empty): the per-feature
+// bench drivers report their fastest repetition.
+func Fastest(times []time.Duration) time.Duration {
+	if len(times) == 0 {
+		return 0
+	}
+	return slices.Min(times)
 }
 
 // PrintFig8 renders measurements as the Figure 8 table: one row per

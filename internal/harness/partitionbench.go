@@ -111,10 +111,9 @@ func partitionModeRun(wl PartitionWorkload, base *pregel.Graph, placer pregel.Pa
 	runtime.GC()
 	g := base.Clone()
 	cfg := pregel.Config{
-		NumWorkers:   wl.Workers,
-		MessagePlane: pregel.PlaneLanes,
-		ComputeMode:  wl.Mode,
-		Partitioner:  placer,
+		NumWorkers:  wl.Workers,
+		ComputeMode: wl.Mode,
+		Partitioner: placer,
 	}
 	stats, err := wl.Make().Configure(g, cfg).Run()
 	if err != nil {
@@ -195,7 +194,7 @@ func RunPartitionBench(workloads []PartitionWorkload, opts Options) ([]Partition
 			hashTimes = append(hashTimes, ht)
 			locTimes = append(locTimes, lt)
 		}
-		hashBest, locBest := fastest(hashTimes), fastest(locTimes)
+		hashBest, locBest := Fastest(hashTimes), Fastest(locTimes)
 		row.HashNanos = hashBest.Nanoseconds()
 		row.LocalityNanos = locBest.Nanoseconds()
 		if row.HashRemote > 0 {

@@ -176,7 +176,7 @@ func RunProfilerBench(workloads []Workload, opts Options) ([]ProfilerBench, erro
 		if cellErr != nil {
 			return nil, cellErr
 		}
-		off, on := fastest(offTimes), fastest(onTimes)
+		off, on := Fastest(offTimes), Fastest(onTimes)
 		row := ProfilerBench{
 			Workload: wl.Label,
 			Reps:     reps,

@@ -95,9 +95,8 @@ func subgraphModeRun(wl SubgraphWorkload, base *pregel.Graph, mode pregel.Comput
 	runtime.GC()
 	g := base.Clone()
 	cfg := pregel.Config{
-		NumWorkers:   wl.Workers,
-		MessagePlane: pregel.PlaneLanes,
-		ComputeMode:  mode,
+		NumWorkers:  wl.Workers,
+		ComputeMode: mode,
 	}
 	stats, err := wl.Make().Configure(g, cfg).Run()
 	if err != nil {
@@ -173,7 +172,7 @@ func RunSubgraphBench(workloads []SubgraphWorkload, opts Options) ([]SubgraphBen
 			vertexTimes = append(vertexTimes, vt)
 			subgraphTimes = append(subgraphTimes, st)
 		}
-		vertexBest, subgraphBest := fastest(vertexTimes), fastest(subgraphTimes)
+		vertexBest, subgraphBest := Fastest(vertexTimes), Fastest(subgraphTimes)
 		row.VertexNanos = vertexBest.Nanoseconds()
 		row.SubgraphNanos = subgraphBest.Nanoseconds()
 		if subgraphBest > 0 {

@@ -49,8 +49,7 @@ type Totals struct {
 	// compute, not capture.
 	CaptureNanos int64 `json:"capture_ns"`
 	// FlushNanos sums the coordinator time spent draining the capture
-	// pipeline at superstep barriers (zero for undebugged runs and for
-	// synchronous sinks, where writes happen inline).
+	// pipeline at superstep barriers (zero for undebugged runs).
 	FlushNanos int64 `json:"flush_ns,omitempty"`
 	// MaxCaptureQueueDepth is the deepest the capture pipeline's queues
 	// got at any barrier: how far trace writing lagged compute.

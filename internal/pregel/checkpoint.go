@@ -310,7 +310,7 @@ func (en *engine) decodeCheckpoint(raw []byte) (*checkpointState, error) {
 	if numParts != len(en.parts) {
 		return nil, fmt.Errorf("pregel: checkpoint has %d partitions, engine has %d", numParts, len(en.parts))
 	}
-	nAggs := int(d.Uvarint())
+	nAggs := d.Count()
 	st.broadcast = make(map[string]Value, nAggs)
 	for i := 0; i < nAggs; i++ {
 		name := d.String()
@@ -320,7 +320,7 @@ func (en *engine) decodeCheckpoint(raw []byte) (*checkpointState, error) {
 		}
 		st.broadcast[name] = v
 	}
-	nMoved := int(d.Uvarint())
+	nMoved := d.Count()
 	if d.Err() != nil {
 		return nil, d.Err()
 	}
@@ -339,7 +339,7 @@ func (en *engine) decodeCheckpoint(raw []byte) (*checkpointState, error) {
 	}
 	st.parts = make([][]*Vertex, numParts)
 	for i := range st.parts {
-		n := int(d.Uvarint())
+		n := d.Count()
 		if d.Err() != nil {
 			return nil, d.Err()
 		}
@@ -353,7 +353,7 @@ func (en *engine) decodeCheckpoint(raw []byte) (*checkpointState, error) {
 		}
 		st.parts[i] = vs
 	}
-	st.cur = newMessageStore(numParts, en.cfg.Combiner, en.cfg.MessagePlane, en.pool)
+	st.cur = newMessageStore(numParts, en.cfg.Combiner, en.pool)
 	for i := 0; i < numParts; i++ {
 		if err := st.cur.decodeInto(i, d); err != nil {
 			return nil, err
@@ -382,7 +382,7 @@ func (en *engine) install(st *checkpointState) {
 	}
 	en.parts = parts
 	en.cur = st.cur
-	en.next = newMessageStore(numParts, en.cfg.Combiner, en.cfg.MessagePlane, en.pool)
+	en.next = newMessageStore(numParts, en.cfg.Combiner, en.pool)
 	en.broadcast = st.broadcast
 	en.superstep = st.superstep
 	en.assign = st.assign

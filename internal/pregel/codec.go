@@ -113,6 +113,22 @@ func (d *Decoder) Uvarint() uint64 {
 	return x
 }
 
+// Count reads an element count and fails the decode when the count
+// exceeds the bytes left (every element takes at least one byte), so a
+// corrupt count can neither size an allocation nor wrap negative. It
+// returns 0 after a failure.
+func (d *Decoder) Count() int {
+	n := d.Uvarint()
+	if d.err != nil {
+		return 0
+	}
+	if n > uint64(d.Remaining()) {
+		d.fail(fmt.Sprintf("count %d exceeds the %d bytes left", n, d.Remaining()))
+		return 0
+	}
+	return int(n)
+}
+
 // Varint reads a zig-zag signed varint.
 func (d *Decoder) Varint() int64 {
 	if d.err != nil {

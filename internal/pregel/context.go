@@ -4,8 +4,7 @@ import "fmt"
 
 // msgFlushBatch is the default for Config.MsgFlushBatch: how many
 // outgoing messages a worker buffers per destination partition before
-// handing them to the message plane (a lane append in PlaneLanes mode,
-// a shard-lock acquisition in PlaneMutex mode).
+// handing the batch to its lane.
 const msgFlushBatch = 1024
 
 // workerCtx implements Context for one worker during one superstep.
@@ -17,15 +16,12 @@ type workerCtx struct {
 	numEdges    int64
 	flushBatch  int
 
-	// out is the PlaneMutex send buffer, one slice per destination
-	// partition.
-	out [][]msgEntry
-	// lane is the PlaneLanes send buffer: the open pooled batch per
-	// destination partition, handed to the lane matrix when full.
+	// lane is the send buffer: the open pooled batch per destination
+	// partition, handed to the lane matrix when full.
 	lane []*msgBatch
 	// laneIdx maps destination vertex to its entry index in the open
-	// batch, for sender-side combining. Non-nil only in PlaneLanes mode
-	// with a combiner installed.
+	// batch, for sender-side combining. Non-nil only with a combiner
+	// installed.
 	laneIdx []map[VertexID]int
 
 	sent       int64
@@ -79,22 +75,13 @@ func (c *workerCtx) SendMessage(to VertexID, msg Value) {
 		return
 	}
 	c.sent++
-	p := c.en.partitionFor(to)
-	if c.lane != nil {
-		c.laneSend(p, to, msg)
-		return
-	}
-	c.out[p] = append(c.out[p], msgEntry{to: to, msg: msg})
-	if len(c.out[p]) >= c.flushBatch {
-		c.en.next.deliver(p, c.out[p])
-		c.out[p] = c.out[p][:0]
-	}
+	c.laneSend(c.en.partitionFor(to), to, msg)
 }
 
-// laneSend buffers one message on the PlaneLanes path. With a combiner
-// installed it combines at the sender: messages to a destination
-// already in the open batch merge in place, so the lane (and the
-// merge at the barrier) sees pre-combined traffic.
+// laneSend buffers one message in its destination's open batch. With
+// a combiner installed it combines at the sender: messages to a
+// destination already in the open batch merge in place, so the lane
+// (and the merge at the barrier) sees pre-combined traffic.
 //
 // Sender-side combining is adaptive per destination partition. The
 // index lookup costs one map operation per send while the savings are
@@ -180,25 +167,16 @@ func (c *workerCtx) AddVertexRequest(id VertexID, value Value) {
 }
 
 func (c *workerCtx) flushAll() {
-	if c.lane != nil {
-		for p, b := range c.lane {
-			if b == nil {
-				continue
-			}
-			if len(b.entries) > 0 {
-				c.en.next.laneAppend(c.worker, p, b)
-			} else {
-				c.en.pool.put(b)
-			}
-			c.lane[p] = nil
+	for p, b := range c.lane {
+		if b == nil {
+			continue
 		}
-		return
-	}
-	for p := range c.out {
-		if len(c.out[p]) > 0 {
-			c.en.next.deliver(p, c.out[p])
-			c.out[p] = nil
+		if len(b.entries) > 0 {
+			c.en.next.laneAppend(c.worker, p, b)
+		} else {
+			c.en.pool.put(b)
 		}
+		c.lane[p] = nil
 	}
 }
 

@@ -233,7 +233,7 @@ type Config struct {
 	// RecoveryCheckpoint (the zero value) restarts the whole job from
 	// the latest checkpoint; RecoveryLog confines recomputation to the
 	// failed partitions, replaying their inboxes from the sender-side
-	// outbox logs. RecoveryLog requires PlaneLanes and MsgLogFS.
+	// outbox logs. RecoveryLog requires MsgLogFS.
 	Recovery RecoveryMode
 	// MsgLogFS is where RecoveryLog's outbox logs are written. Required
 	// when Recovery is RecoveryLog.
@@ -253,11 +253,6 @@ type Config struct {
 	// a handful of clock reads per worker per superstep; the switch
 	// exists so graft-bench can measure exactly what it costs.
 	DisableMetrics bool
-	// MessagePlane selects the message transport. The zero value is
-	// PlaneLanes, the lock-free per-sender lane matrix with sender-side
-	// combining; PlaneMutex is the legacy shard-lock path kept as the
-	// benchmark baseline.
-	MessagePlane PlaneMode
 	// MsgFlushBatch is how many outgoing messages a worker buffers per
 	// destination partition before flushing to the message plane; 0
 	// means the default (1024).
@@ -277,9 +272,9 @@ type Config struct {
 	// RebalanceSkew. ObjectiveEdgeCut migrates boundary vertices toward
 	// their heaviest communication partner whenever the traffic matrix
 	// shows a dominant cross-partition lane; it is self-enabling
-	// (RebalanceSkew is not consulted) and requires PlaneLanes,
-	// telemetry and a non-negative AnomalyWindow, since the traffic
-	// matrix feeds the decision.
+	// (RebalanceSkew is not consulted) and requires telemetry and a
+	// non-negative AnomalyWindow, since the traffic matrix feeds the
+	// decision.
 	RebalanceObjective RebalanceObjective
 	// Partitioner selects the initial vertex placement: PartitionHash
 	// (the zero value) is Fibonacci hashing, byte-compatible with
@@ -303,12 +298,6 @@ type Config struct {
 	// aggregators, checkpoints, recovery and rebalancing are
 	// mode-independent.
 	ComputeMode ComputeMode
-	// NoPartitionSkip disables the halted-partition fast path: normally
-	// a partition with zero active vertices and no pending messages is
-	// skipped in the superstep scan (its worker would only iterate
-	// halted vertices and find empty inboxes). The escape hatch exists
-	// so tests can prove the fast path changes no observable behavior.
-	NoPartitionSkip bool
 	// WorkerPool, if non-nil, is a global worker budget shared across
 	// jobs: each worker goroutine holds one slot for its superstep scan,
 	// so a session running many jobs concurrently bounds its total
@@ -326,8 +315,8 @@ type aggEntry struct {
 // of the graph: values and topology are mutated in place, so callers
 // that reuse a dataset across runs must pass graph.Clone().
 type Job struct {
-	cfg   Config
-	comp  Computation
+	cfg  Config
+	comp Computation
 	// scomp is the ModeSubgraph program (nil in vertex mode); set by
 	// NewSubgraphJob.
 	scomp    SubgraphComputation
@@ -548,7 +537,7 @@ func newEngine(j *Job) *engine {
 	}
 	en.partActive = make([]int64, w)
 	en.recountActive()
-	if j.cfg.MessagePlane == PlaneLanes && j.cfg.Combiner != nil {
+	if j.cfg.Combiner != nil {
 		en.laneCombineOff = make([][]bool, w)
 		for i := range en.laneCombineOff {
 			en.laneCombineOff[i] = make([]bool, w)
@@ -566,10 +555,9 @@ func newEngine(j *Job) *engine {
 	return en
 }
 
-// newStore builds a message store in the engine's configured plane
-// mode, sharing the engine-wide batch pool.
+// newStore builds a message store sharing the engine-wide batch pool.
 func (en *engine) newStore() *messageStore {
-	return newMessageStore(len(en.parts), en.cfg.Combiner, en.cfg.MessagePlane, en.pool)
+	return newMessageStore(len(en.parts), en.cfg.Combiner, en.pool)
 }
 
 // partitionFor maps a vertex ID to a worker: the explicit assignment
@@ -774,7 +762,7 @@ func (en *engine) run(start time.Time) (*Stats, error) {
 			// zero, so skip launching it. (Lanes into this shard were
 			// merged by integrateMissing at the previous barrier, so the
 			// shard check is complete.)
-			if !en.cfg.NoPartitionSkip && en.partActive[w] == 0 && !en.cur.hasPending(w) {
+			if en.partActive[w] == 0 && !en.cur.hasPending(w) {
 				continue
 			}
 			wg.Add(1)
@@ -1004,7 +992,7 @@ func (en *engine) safeMasterCompute(mctx *masterCtx) (err error) {
 }
 
 // newWorkerCtx builds the per-superstep Context for one worker, with
-// the send buffers matching the configured message plane.
+// one open-batch slot per destination partition.
 func (en *engine) newWorkerCtx(w int, nv, ne int64) *workerCtx {
 	ctx := &workerCtx{
 		en:          en,
@@ -1014,19 +1002,15 @@ func (en *engine) newWorkerCtx(w int, nv, ne int64) *workerCtx {
 		numEdges:    ne,
 		flushBatch:  en.flushBatch,
 		aggPartial:  map[string]Value{},
+		lane:        make([]*msgBatch, len(en.parts)),
 	}
-	if en.cfg.MessagePlane == PlaneLanes {
-		ctx.lane = make([]*msgBatch, len(en.parts))
-		if en.cfg.Combiner != nil {
-			ctx.laneIdx = make([]map[VertexID]int, len(en.parts))
-			for i := range ctx.laneIdx {
-				if !en.laneCombineOff[w][i] {
-					ctx.laneIdx[i] = make(map[VertexID]int)
-				}
+	if en.cfg.Combiner != nil {
+		ctx.laneIdx = make([]map[VertexID]int, len(en.parts))
+		for i := range ctx.laneIdx {
+			if !en.laneCombineOff[w][i] {
+				ctx.laneIdx[i] = make(map[VertexID]int)
 			}
 		}
-	} else {
-		ctx.out = make([][]msgEntry, len(en.parts))
 	}
 	return ctx
 }
@@ -1198,9 +1182,9 @@ func (en *engine) safeCompute(ctx *workerCtx, v *Vertex, msgs []Value) (err erro
 	return nil
 }
 
-// integrateMissing merges each lane-matrix column into its shard (in
-// PlaneLanes mode) and resolves messages addressed to vertices that do
-// not exist, at the barrier (Giraph's default vertex resolver): with
+// integrateMissing merges each lane-matrix column into its shard and
+// resolves messages addressed to vertices that do not exist, at the
+// barrier (Giraph's default vertex resolver): with
 // CreateMissingVertices the vertex is created so it computes next
 // superstep; otherwise the messages are removed from the store and
 // counted as dropped. Each partition is handled by its own goroutine —

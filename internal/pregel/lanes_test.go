@@ -2,7 +2,6 @@ package pregel
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,76 +9,10 @@ import (
 	"graft/internal/dfs"
 )
 
-// runCCBothPlanes runs connected components over clones of the same
-// random graph in both message-plane modes and returns the two stats.
-func runCCBothPlanes(t *testing.T, seed int64, combiner Combiner, workers int) (lanes, mutex *Stats) {
-	t.Helper()
-	build := func() *Graph {
-		rng := rand.New(rand.NewSource(seed))
-		g := NewGraph()
-		const n = 300
-		for i := 0; i < n; i++ {
-			g.AddVertex(VertexID(i), NewLong(int64(i)))
-		}
-		for i := 0; i < n; i++ {
-			for _, j := range rng.Perm(n)[:3] {
-				if i != j {
-					g.AddEdge(VertexID(i), VertexID(j), nil)
-					g.AddEdge(VertexID(j), VertexID(i), nil)
-				}
-			}
-		}
-		return g
-	}
-	run := func(mode PlaneMode) (*Stats, map[VertexID]int64) {
-		g := build()
-		stats, err := NewJob(g, ccCompute, Config{
-			NumWorkers: workers, Combiner: combiner, MessagePlane: mode,
-		}).Run()
-		if err != nil {
-			t.Fatalf("plane %v: %v", mode, err)
-		}
-		labels := map[VertexID]int64{}
-		for _, id := range g.VertexIDs() {
-			labels[id] = g.Vertex(id).Value().(*LongValue).Get()
-		}
-		return stats, labels
-	}
-	lanes, laneLabels := run(PlaneLanes)
-	mutex, mutexLabels := run(PlaneMutex)
-	for id, v := range laneLabels {
-		if mutexLabels[id] != v {
-			t.Fatalf("vertex %d: lanes label %d, mutex label %d", id, v, mutexLabels[id])
-		}
-	}
-	return lanes, mutex
-}
-
-func TestLanePlaneMatchesMutexPlane(t *testing.T) {
-	for _, tc := range []struct {
-		name     string
-		combiner Combiner
-	}{
-		{"combiner", MinLongCombiner},
-		{"plain", nil},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			lanes, mutex := runCCBothPlanes(t, 7, tc.combiner, 4)
-			if lanes.TotalMessages != mutex.TotalMessages {
-				t.Errorf("TotalMessages: lanes %d, mutex %d", lanes.TotalMessages, mutex.TotalMessages)
-			}
-			if lanes.Supersteps != mutex.Supersteps {
-				t.Errorf("Supersteps: lanes %d, mutex %d", lanes.Supersteps, mutex.Supersteps)
-			}
-		})
-	}
-}
-
 // TestLaneDeterministicInboxOrder checks the lane plane's ordering
 // guarantee: inboxes are merged in sender-worker order, then flush
 // order, so without a combiner a vertex sees the exact same message
-// sequence on every run — unlike the mutex plane, where the order
-// depends on lock acquisition.
+// sequence on every run.
 func TestLaneDeterministicInboxOrder(t *testing.T) {
 	run := func() map[VertexID][]int64 {
 		g := NewGraph()
@@ -180,78 +113,74 @@ func TestSenderSideCombining(t *testing.T) {
 // the partially-combined value and the fold doubled instead of summed.
 func TestDuplicateEdgesMutatingCombiner(t *testing.T) {
 	const dup = 5
-	for _, mode := range []PlaneMode{PlaneLanes, PlaneMutex} {
-		t.Run(fmt.Sprintf("%v", mode), func(t *testing.T) {
-			g := NewGraph()
-			g.AddVertex(0, NewDouble(0))
-			g.AddVertex(1, NewDouble(0))
-			for i := 0; i < dup; i++ {
-				g.AddEdge(1, 0, nil) // duplicate parallel edges
+	t.Run("lanes", func(t *testing.T) {
+		g := NewGraph()
+		g.AddVertex(0, NewDouble(0))
+		g.AddVertex(1, NewDouble(0))
+		for i := 0; i < dup; i++ {
+			g.AddEdge(1, 0, nil) // duplicate parallel edges
+		}
+		comp := ComputeFunc(func(ctx Context, v *Vertex, msgs []Value) error {
+			if ctx.Superstep() == 0 && v.ID() == 1 {
+				ctx.SendMessageToAllEdges(v, NewDouble(0.25))
 			}
-			comp := ComputeFunc(func(ctx Context, v *Vertex, msgs []Value) error {
-				if ctx.Superstep() == 0 && v.ID() == 1 {
-					ctx.SendMessageToAllEdges(v, NewDouble(0.25))
+			if ctx.Superstep() == 1 && v.ID() == 0 {
+				var sum float64
+				for _, m := range msgs {
+					sum += m.(*DoubleValue).Get()
 				}
-				if ctx.Superstep() == 1 && v.ID() == 0 {
-					var sum float64
-					for _, m := range msgs {
-						sum += m.(*DoubleValue).Get()
+				if sum != dup*0.25 {
+					t.Errorf("delivered sum = %v, want %v", sum, dup*0.25)
+				}
+			}
+			v.VoteToHalt()
+			return nil
+		})
+		cfg := Config{NumWorkers: 2, Combiner: SumDoubleCombiner}
+		if _, err := NewJob(g, comp, cfg).Run(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestMsgFlushBatchConfigurable forces a tiny flush batch through the
+// Config knob and checks nothing is lost.
+func TestMsgFlushBatchConfigurable(t *testing.T) {
+	for _, batch := range []int{1, 3} {
+		t.Run(fmt.Sprintf("lanes-batch%d", batch), func(t *testing.T) {
+			const fanout = 200
+			g := NewGraph()
+			g.AddVertex(0, NewLong(0))
+			for i := 1; i <= fanout; i++ {
+				g.AddVertex(VertexID(i), NewLong(0))
+			}
+			var delivered atomic.Int64
+			comp := ComputeFunc(func(ctx Context, v *Vertex, msgs []Value) error {
+				if ctx.Superstep() == 0 && v.ID() == 0 {
+					for i := 1; i <= fanout; i++ {
+						ctx.SendMessage(VertexID(i), NewLong(int64(i)))
 					}
-					if sum != dup*0.25 {
-						t.Errorf("delivered sum = %v, want %v", sum, dup*0.25)
+				}
+				if ctx.Superstep() == 1 && len(msgs) > 0 {
+					if got := msgs[0].(*LongValue).Get(); got != int64(v.ID()) {
+						t.Errorf("vertex %d got %d", v.ID(), got)
 					}
+					delivered.Add(int64(len(msgs)))
 				}
 				v.VoteToHalt()
 				return nil
 			})
-			cfg := Config{NumWorkers: 2, Combiner: SumDoubleCombiner, MessagePlane: mode}
-			if _, err := NewJob(g, comp, cfg).Run(); err != nil {
+			stats, err := NewJob(g, comp, Config{NumWorkers: 4, MsgFlushBatch: batch}).Run()
+			if err != nil {
 				t.Fatal(err)
 			}
+			if delivered.Load() != fanout {
+				t.Errorf("delivered %d of %d messages", delivered.Load(), fanout)
+			}
+			if stats.TotalMessages != fanout {
+				t.Errorf("TotalMessages = %d", stats.TotalMessages)
+			}
 		})
-	}
-}
-
-// TestMsgFlushBatchConfigurable forces a tiny flush batch through the
-// Config knob in both plane modes and checks nothing is lost.
-func TestMsgFlushBatchConfigurable(t *testing.T) {
-	for _, mode := range []PlaneMode{PlaneLanes, PlaneMutex} {
-		for _, batch := range []int{1, 3} {
-			t.Run(fmt.Sprintf("%v-batch%d", mode, batch), func(t *testing.T) {
-				const fanout = 200
-				g := NewGraph()
-				g.AddVertex(0, NewLong(0))
-				for i := 1; i <= fanout; i++ {
-					g.AddVertex(VertexID(i), NewLong(0))
-				}
-				var delivered atomic.Int64
-				comp := ComputeFunc(func(ctx Context, v *Vertex, msgs []Value) error {
-					if ctx.Superstep() == 0 && v.ID() == 0 {
-						for i := 1; i <= fanout; i++ {
-							ctx.SendMessage(VertexID(i), NewLong(int64(i)))
-						}
-					}
-					if ctx.Superstep() == 1 && len(msgs) > 0 {
-						if got := msgs[0].(*LongValue).Get(); got != int64(v.ID()) {
-							t.Errorf("vertex %d got %d", v.ID(), got)
-						}
-						delivered.Add(int64(len(msgs)))
-					}
-					v.VoteToHalt()
-					return nil
-				})
-				stats, err := NewJob(g, comp, Config{NumWorkers: 4, MessagePlane: mode, MsgFlushBatch: batch}).Run()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if delivered.Load() != fanout {
-					t.Errorf("delivered %d of %d messages", delivered.Load(), fanout)
-				}
-				if stats.TotalMessages != fanout {
-					t.Errorf("TotalMessages = %d", stats.TotalMessages)
-				}
-			})
-		}
 	}
 }
 

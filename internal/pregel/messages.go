@@ -5,34 +5,6 @@ import (
 	"sync"
 )
 
-// PlaneMode selects the message-plane implementation.
-type PlaneMode int
-
-const (
-	// PlaneLanes is the lock-free plane: each worker appends pooled
-	// batches to its own row of a numWorkers × numWorkers lane matrix
-	// (single writer, no synchronization), and the owning worker merges
-	// its column into the shard map after the superstep barrier (single
-	// reader, ordered by the barrier). With a combiner installed,
-	// senders additionally pre-combine per destination vertex before
-	// flushing. This is the default.
-	PlaneLanes PlaneMode = iota
-	// PlaneMutex is the original shard-mutex plane: every flushed batch
-	// takes the destination shard's lock and combines at the receiver.
-	// Kept as the baseline the engine benchmark compares against.
-	PlaneMutex
-)
-
-func (m PlaneMode) String() string {
-	switch m {
-	case PlaneLanes:
-		return "lanes"
-	case PlaneMutex:
-		return "mutex"
-	}
-	return "unknown"
-}
-
 // msgEntry is one in-flight message. With sender-side combining a
 // single entry may stand for many logical sends.
 type msgEntry struct {
@@ -85,23 +57,22 @@ type msgLane struct {
 }
 
 // messageStore holds the messages sent during one superstep for
-// delivery at the next. It is sharded by destination partition. In
-// PlaneMutex mode, writes from any worker lock the destination shard.
-// In PlaneLanes mode, writes go to the per-sender lane matrix without
-// synchronization and mergeLane folds each column into its shard map
-// at the barrier; reads during the next superstep are done exclusively
-// by the shard's owning worker and need no locking either way (the
-// superstep barrier orders them).
+// delivery at the next. It is sharded by destination partition.
+// Writes go to the per-sender lane matrix without synchronization
+// (each worker appends pooled batches to its own row; with a combiner
+// installed senders also pre-combine per destination vertex), and
+// mergeLane folds each column into its shard map at the barrier.
+// Reads during the next superstep are done exclusively by the shard's
+// owning worker and need no locking (the superstep barrier orders
+// them).
 type messageStore struct {
 	combiner Combiner
-	mode     PlaneMode
 	shards   []msgShard
-	lanes    [][]msgLane // [sender][dest]; nil in PlaneMutex mode
-	pool     *batchPool  // shared across the engine's stores; nil in PlaneMutex mode
+	lanes    [][]msgLane // [sender][dest]
+	pool     *batchPool  // shared across the engine's stores
 }
 
 type msgShard struct {
-	mu sync.Mutex
 	// Exactly one of m/c is used, depending on whether a combiner is
 	// installed.
 	m map[VertexID][]Value
@@ -114,8 +85,8 @@ type msgShard struct {
 	combined int64
 }
 
-func newMessageStore(numShards int, combiner Combiner, mode PlaneMode, pool *batchPool) *messageStore {
-	s := &messageStore{combiner: combiner, mode: mode, shards: make([]msgShard, numShards)}
+func newMessageStore(numShards int, combiner Combiner, pool *batchPool) *messageStore {
+	s := &messageStore{combiner: combiner, shards: make([]msgShard, numShards), pool: pool}
 	for i := range s.shards {
 		if combiner != nil {
 			s.shards[i].c = make(map[VertexID]Value)
@@ -123,37 +94,11 @@ func newMessageStore(numShards int, combiner Combiner, mode PlaneMode, pool *bat
 			s.shards[i].m = make(map[VertexID][]Value)
 		}
 	}
-	if mode == PlaneLanes {
-		s.pool = pool
-		s.lanes = make([][]msgLane, numShards)
-		for i := range s.lanes {
-			s.lanes[i] = make([]msgLane, numShards)
-		}
+	s.lanes = make([][]msgLane, numShards)
+	for i := range s.lanes {
+		s.lanes[i] = make([]msgLane, numShards)
 	}
 	return s
-}
-
-// deliver appends a batch of messages to the destination shard under
-// its lock (the PlaneMutex write path).
-func (s *messageStore) deliver(shard int, entries []msgEntry) {
-	sh := &s.shards[shard]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if s.combiner != nil {
-		for _, en := range entries {
-			if cur, ok := sh.c[en.to]; ok {
-				sh.c[en.to] = s.combiner.Combine(en.to, cur, en.msg)
-				sh.combined++
-			} else {
-				sh.c[en.to] = en.msg
-			}
-		}
-	} else {
-		for _, en := range entries {
-			sh.m[en.to] = append(sh.m[en.to], en.msg)
-		}
-	}
-	sh.n += int64(len(entries))
 }
 
 // laneAppend hands one flushed batch to lane [sender][dest]. Only
@@ -171,12 +116,9 @@ func (s *messageStore) laneAppend(sender, dest int, b *msgBatch) {
 // superstep barrier, with exactly one goroutine touching the shard
 // (the destination's owning worker). Senders are merged in worker
 // order and batches in flush order, so the merged inbox order is
-// deterministic — unlike the mutex plane, where it depends on lock
-// acquisition order.
+// deterministic: confined recovery replays inboxes in the same order,
+// and reruns of one job produce identical traces.
 func (s *messageStore) mergeLane(shard int) {
-	if s.mode != PlaneLanes {
-		return
-	}
 	sh := &s.shards[shard]
 	for sender := range s.lanes {
 		ln := &s.lanes[sender][shard]
@@ -271,7 +213,7 @@ func (s *messageStore) hasPending(shard int) bool {
 
 // take removes and returns the messages for one vertex. Only the
 // shard's owning worker may call it, after the sending superstep's
-// barrier (and, in PlaneLanes mode, after mergeLane).
+// barrier and mergeLane.
 func (s *messageStore) take(shard int, id VertexID) []Value {
 	sh := &s.shards[shard]
 	if s.combiner != nil {
@@ -315,12 +257,8 @@ func (s *messageStore) pendingIDs(shard int, exclude map[VertexID]*Vertex) []Ver
 // element [s][d] is the number of messages (pre-combine) worker s sent
 // toward partition d this superstep. It must be read at the barrier
 // before mergeLane folds the columns away; at that point a fresh
-// store's shards are empty, so the matrix sums to total(). Returns nil
-// in PlaneMutex mode, which has no per-sender accounting.
+// store's shards are empty, so the matrix sums to total().
 func (s *messageStore) trafficMatrix() [][]int64 {
-	if s.mode != PlaneLanes {
-		return nil
-	}
 	m := make([][]int64, len(s.lanes))
 	for i := range s.lanes {
 		row := make([]int64, len(s.lanes[i]))
@@ -403,11 +341,11 @@ func (s *messageStore) encode(shard int, e *Encoder, scratch []VertexID) []Verte
 // decodeInto restores one shard from its encoded form.
 func (s *messageStore) decodeInto(shard int, d *Decoder) error {
 	sh := &s.shards[shard]
-	nIDs := d.Uvarint()
-	for i := uint64(0); i < nIDs && d.Err() == nil; i++ {
+	nIDs := d.Count()
+	for i := 0; i < nIDs && d.Err() == nil; i++ {
 		id := VertexID(d.Varint())
-		nMsgs := d.Uvarint()
-		for j := uint64(0); j < nMsgs && d.Err() == nil; j++ {
+		nMsgs := d.Count()
+		for j := 0; j < nMsgs && d.Err() == nil; j++ {
 			v, err := DecodeTyped(d)
 			if err != nil {
 				return err

@@ -314,7 +314,7 @@ func decodeLogFrame(payload []byte, sender int, st *loggedStep) error {
 	case msgLogFrameMessages:
 		d.Uvarint() // superstep, already known from the index
 		dest := int(d.Uvarint())
-		n := int(d.Uvarint())
+		n := d.Count()
 		b := loggedBatch{dest: dest, rawBytes: int64(len(payload)), entries: make([]msgEntry, 0, n)}
 		for i := 0; i < n; i++ {
 			to := VertexID(d.Varint())
@@ -330,12 +330,12 @@ func decodeLogFrame(payload []byte, sender int, st *loggedStep) error {
 		st.batches[sender] = append(st.batches[sender], b)
 	case msgLogFrameMutations:
 		d.Uvarint() // superstep
-		nRem := int(d.Uvarint())
+		nRem := d.Count()
 		removals := make([]VertexID, 0, nRem)
 		for i := 0; i < nRem; i++ {
 			removals = append(removals, VertexID(d.Varint()))
 		}
-		nAdd := int(d.Uvarint())
+		nAdd := d.Count()
 		additions := make([]vertexAddition, 0, nAdd)
 		for i := 0; i < nAdd; i++ {
 			id := VertexID(d.Varint())

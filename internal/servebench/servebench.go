@@ -184,7 +184,7 @@ func RunServeBench(scale float64, opts harness.Options) (*ServeBench, error) {
 				rep, float64(st.Microseconds())/1000, float64(ct.Microseconds())/1000)
 		}
 	}
-	seqBest, conBest := fastest(seqTimes), fastest(conTimes)
+	seqBest, conBest := harness.Fastest(seqTimes), harness.Fastest(conTimes)
 	row.SequentialNanos = seqBest.Nanoseconds()
 	row.ConcurrentNanos = conBest.Nanoseconds()
 	if seqBest > 0 {
@@ -253,18 +253,4 @@ func CheckServeBench(r *ServeBench) []string {
 		problems = append(problems, "per-job trace digests diverged between sequential and concurrent runs")
 	}
 	return problems
-}
-
-// fastest returns the minimum of times (0 if empty).
-func fastest(times []time.Duration) time.Duration {
-	if len(times) == 0 {
-		return 0
-	}
-	best := times[0]
-	for _, t := range times[1:] {
-		if t < best {
-			best = t
-		}
-	}
-	return best
 }

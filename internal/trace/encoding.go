@@ -138,18 +138,12 @@ func decodeRecordPayload(payload []byte) (any, error) {
 	return nil, fmt.Errorf("trace: unknown record kind %d", kind)
 }
 
-// readCount reads an element count and rejects one larger than the
-// bytes left (every element takes at least one byte), so a corrupt
-// count fails the decode instead of sizing an allocation.
+// readCount reads an element count bounded by the bytes left (see
+// pregel.Decoder.Count), so a corrupt count fails the decode instead
+// of sizing an allocation.
 func readCount(d *pregel.Decoder) (uint64, error) {
-	n := d.Uvarint()
-	if d.Err() != nil {
-		return 0, d.Err()
-	}
-	if n > uint64(d.Remaining()) {
-		return 0, fmt.Errorf("%w: count %d exceeds the %d bytes left", pregel.ErrCorrupt, n, d.Remaining())
-	}
-	return n, nil
+	n := d.Count()
+	return uint64(n), d.Err()
 }
 
 func encodeException(e *pregel.Encoder, ex *ExceptionInfo) {

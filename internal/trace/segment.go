@@ -87,23 +87,16 @@ type segmentWriter struct {
 	// dropped counts records discarded when a segment cannot be
 	// committed; shared with the owning sink's DroppedRecords.
 	dropped *atomic.Int64
-
-	e, hdr *pregel.Encoder // payload and frame-length scratch
 }
 
 func newSegmentWriter(fs dfs.FileSystem, jobDir, lane string, segSize int, dropped *atomic.Int64) *segmentWriter {
-	sw := &segmentWriter{
-		dropped: dropped,
-		e:       pregel.NewEncoder(), hdr: pregel.NewEncoder(),
-	}
+	sw := &segmentWriter{dropped: dropped}
 	if sw.dropped == nil {
 		sw.dropped = new(atomic.Int64)
 	}
 	sw.w = segio.NewWriter(fs, jobDir, lane, segSize, func(n int) { sw.dropped.Add(int64(n)) })
 	return sw
 }
-
-func (sw *segmentWriter) indexPath() string { return sw.w.IndexPath() }
 
 // entryFor builds a record's index coordinates from its payload and
 // concrete type.
@@ -141,23 +134,11 @@ func encodeFrame(e, hdr *pregel.Encoder, buf *bytes.Buffer, rec any) (indexEntry
 	return ent, nil
 }
 
-// append encodes rec into the open segment and records its index
-// entry, sealing the segment once it passes the size threshold.
-func (sw *segmentWriter) append(rec any) error {
-	sw.e.Reset()
-	if err := encodeRecordPayload(sw.e, rec); err != nil {
-		sw.dropped.Add(1)
-		return err
-	}
-	payload := sw.e.Bytes()
-	return sw.w.AppendRecord(payload, toSegioEntry(entryFor(rec, payload)))
-}
-
 // appendFramed copies a batch of pre-framed records — frames as laid
 // out by encodeFrame, entries with Offsets relative to the start of
 // frames — into the open segment, then applies the size threshold.
-// The async pipeline's producers frame records at the source so the
-// drainer's per-record work is this bulk copy.
+// The sink's producers frame records at the source so the drainer's
+// per-record work is this bulk copy.
 func (sw *segmentWriter) appendFramed(frames []byte, entries []indexEntry) error {
 	if len(entries) == 0 {
 		return nil
@@ -168,10 +149,6 @@ func (sw *segmentWriter) appendFramed(frames []byte, entries []indexEntry) error
 	}
 	return sw.w.AppendFramed(frames, conv)
 }
-
-// seal commits the open segment as its own file (see segio.Writer.Seal
-// for the drop-on-failure contract).
-func (sw *segmentWriter) seal() error { return sw.w.Seal() }
 
 // flush seals the open segment and rewrites the lane's index sidecar:
 // the barrier hook. After flush returns, every record appended so far

@@ -59,7 +59,6 @@ type sinkOptions struct {
 	queueCap    int
 	batchSize   int
 	policy      BackpressurePolicy
-	synchronous bool
 }
 
 // validate rejects explicitly negative capacities — historically they
@@ -118,13 +117,6 @@ func WithBatchSize(n int) Option {
 // Drop.
 func WithBackpressure(p BackpressurePolicy) Option {
 	return func(o *sinkOptions) { o.policy = p }
-}
-
-// WithSynchronous disables the background drainers: records are
-// encoded and segments sealed inline on the calling goroutine. The
-// capture-overhead benchmark's baseline, and a debugging aid.
-func WithSynchronous() Option {
-	return func(o *sinkOptions) { o.synchronous = true }
 }
 
 // RecordSink accepts capture records for one lane (one worker, or the
@@ -202,24 +194,19 @@ func (s *Store) NewSink(meta JobMeta, opts ...Option) (Sink, error) {
 		if i < meta.NumWorkers {
 			name = fmt.Sprintf("worker_%02d", i)
 		}
+		// The queue capacity is in records; the channel holds batches.
+		depth := max(opt.queueCap/opt.batchSize, 1)
 		l := &sinkLane{
 			sink: js,
 			sw:   newSegmentWriter(s.FS, dir, name, opt.segmentSize, &js.dropped),
+			ch:   make(chan laneMsg, depth),
+			done: make(chan struct{}),
+			free: make(chan *laneBatch, depth+1),
 			e:    pregel.NewEncoder(),
 			hdr:  pregel.NewEncoder(),
 			cur:  &laneBatch{},
 		}
-		if !opt.synchronous {
-			// The queue capacity is in records; the channel holds batches.
-			depth := opt.queueCap / opt.batchSize
-			if depth < 1 {
-				depth = 1
-			}
-			l.ch = make(chan laneMsg, depth)
-			l.free = make(chan *laneBatch, depth+1)
-			l.done = make(chan struct{})
-			go l.drain()
-		}
+		go l.drain()
 		js.lanes = append(js.lanes, l)
 	}
 	return js, nil
@@ -249,9 +236,6 @@ func (js *jobSink) DroppedRecords() int64 { return js.dropped.Load() }
 func (js *jobSink) QueueDepth() int {
 	n := 0
 	for _, l := range js.lanes {
-		if l.ch == nil {
-			continue
-		}
 		n += int(l.queued.Load())
 		l.mu.Lock()
 		n += len(l.cur.entries)
@@ -279,18 +263,6 @@ func (js *jobSink) recordErr(err error) {
 // is sealed into a committed segment and indexed.
 func (js *jobSink) BarrierFlush(superstep int) error {
 	_ = superstep // reserved: per-superstep flush bookkeeping
-	if js.opt.synchronous {
-		var first error
-		for _, l := range js.lanes {
-			if err := l.sw.flush(); err != nil && first == nil {
-				first = err
-			}
-		}
-		if first != nil {
-			js.recordErr(first)
-		}
-		return first
-	}
 	acks := make([]chan error, len(js.lanes))
 	for i, l := range js.lanes {
 		acks[i] = make(chan error, 1)
@@ -319,18 +291,14 @@ func (js *jobSink) CloseFiles() error {
 	}
 	js.filesClosed = true
 	for _, l := range js.lanes {
-		if l.ch != nil {
-			l.mu.Lock()
-			l.sendLocked()
-			l.mu.Unlock()
-			close(l.ch)
-		}
+		l.mu.Lock()
+		l.sendLocked()
+		l.mu.Unlock()
+		close(l.ch)
 	}
 	var first error
 	for _, l := range js.lanes {
-		if l.done != nil {
-			<-l.done
-		}
+		<-l.done
 		if err := l.sw.flush(); err != nil && first == nil {
 			first = err
 		}
@@ -380,19 +348,17 @@ type laneMsg struct {
 }
 
 // sinkLane is one worker's (or the master's) capture queue plus the
-// segment writer its drainer goroutine owns. In synchronous mode ch is
-// nil and the producer goroutine drives the segment writer directly.
+// segment writer its drainer goroutine owns.
 //
 // The producer frames records at the source: submit encodes into the
 // lane's batch buffer under mu, and a full batch goes to the drainer
 // as one queue message of flat bytes plus scalar index entries. That
-// keeps the per-record pipeline cost to an encode (which the
-// synchronous path pays anyway), amortizes the channel hop over
-// batchSize records, and — because queued batches hold no pointers —
-// adds nothing to garbage-collector mark work, unlike queueing the
-// capture objects themselves. mu is held by the lane's producer and by
-// BarrierFlush/CloseFiles pushing the partial batch; the drainer never
-// takes it.
+// keeps the per-record pipeline cost to an encode, amortizes the
+// channel hop over batchSize records, and — because queued batches
+// hold no pointers — adds nothing to garbage-collector mark work,
+// unlike queueing the capture objects themselves. mu is held by the
+// lane's producer and by BarrierFlush/CloseFiles pushing the partial
+// batch; the drainer never takes it.
 type sinkLane struct {
 	sink *jobSink
 	sw   *segmentWriter
@@ -437,13 +403,6 @@ func (l *sinkLane) drain() {
 // submit frames one record into the lane's batch, handing the batch to
 // the drainer (under the backpressure policy) when it fills.
 func (l *sinkLane) submit(rec any) error {
-	if l.ch == nil {
-		if err := l.sw.append(rec); err != nil {
-			l.sink.recordErr(err)
-			return err
-		}
-		return nil
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	ent, err := encodeFrame(l.e, l.hdr, &l.cur.buf, rec)

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"io"
 	"math"
+	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -139,33 +141,78 @@ func TestSinkSingleLookupSegmentReads(t *testing.T) {
 	}
 }
 
-// TestSinkSyncAsyncEquivalence writes the same record stream through
-// the synchronous path and the async pipeline and demands the two
-// traces be indistinguishable to a reader.
-func TestSinkSyncAsyncEquivalence(t *testing.T) {
+// TestSinkReadsBackRecordsWritten pins the sink's contract: every
+// record it accepts is read back exactly, byte for byte once encoded,
+// and nothing else is. Batch size 3 exercises partial-batch pushes at
+// barriers; segment size 64 exercises mid-stream seals on the drainer.
+func TestSinkReadsBackRecordsWritten(t *testing.T) {
 	store := NewStore(dfs.NewMemFS(), "t")
-	writeSinkJob(t, store, "sync", WithSynchronous(), WithSegmentSize(64))
-	// Batch size 3 exercises partial-batch pushes at barriers; segment
-	// size 64 exercises mid-stream seals on the drainer.
-	writeSinkJob(t, store, "async", WithBatchSize(3), WithSegmentSize(64))
+	sink, err := store.NewSink(JobMeta{JobID: "job1", NumWorkers: 2}, WithBatchSize(3), WithSegmentSize(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := func(rec any) string {
+		e := pregel.NewEncoder()
+		if err := encodeRecordPayload(e, rec); err != nil {
+			t.Fatal(err)
+		}
+		return string(e.Bytes())
+	}
+	var written, read []string
+	for step := 0; step < 4; step++ {
+		for w := 0; w < 2; w++ {
+			for k := 0; k < 5; k++ {
+				c := sampleVertexCapture()
+				c.Superstep, c.Worker, c.ID = step, w, pregel.VertexID(1000*w+10*step+k)
+				c.ValueAfter = pregel.NewLong(int64(step*k - w))
+				if err := sink.WorkerSink(w).WriteVertexCapture(c); err != nil {
+					t.Fatal(err)
+				}
+				written = append(written, key(c))
+			}
+		}
+		mc, meta := sampleMasterCapture(), sampleMeta()
+		mc.Superstep, meta.Superstep = step, step
+		if err := sink.MasterSink().WriteMasterCapture(mc); err != nil {
+			t.Fatal(err)
+		}
+		if err := sink.MasterSink().WriteSuperstepMeta(meta); err != nil {
+			t.Fatal(err)
+		}
+		written = append(written, key(mc), key(meta))
+		if err := sink.BarrierFlush(step); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sink.Finish(JobResult{Supersteps: 4}); err != nil {
+		t.Fatal(err)
+	}
+	if n := sink.DroppedRecords(); n != 0 {
+		t.Fatalf("dropped %d records under Block policy", n)
+	}
 
-	a, err := store.OpenReader("sync")
+	r, err := store.OpenReader("job1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := store.OpenReader("async")
-	if err != nil {
+	for _, s := range r.Supersteps() {
+		for _, c := range r.CapturesAt(s) {
+			read = append(read, key(c))
+		}
+		if mc := r.MasterAt(s); mc != nil {
+			read = append(read, key(mc))
+		}
+		if m := r.MetaAt(s); m != nil {
+			read = append(read, key(m))
+		}
+	}
+	if err := r.Err(); err != nil {
 		t.Fatal(err)
 	}
-	diff := DiffJobs(a, b)
-	if len(diff.OnlyA) != 0 || len(diff.OnlyB) != 0 {
-		t.Errorf("capture sets differ: onlySync=%v onlyAsync=%v", diff.OnlyA, diff.OnlyB)
-	}
-	if d := diff.FirstDivergence(); d != nil {
-		t.Errorf("first divergence at superstep %d vertex %d: %v", d.Superstep, d.ID, d.Fields)
-	}
-	if len(diff.StatusDiffs) != 0 {
-		t.Errorf("status differs at supersteps %v", diff.StatusDiffs)
+	sort.Strings(written)
+	sort.Strings(read)
+	if !reflect.DeepEqual(read, written) {
+		t.Fatalf("read back %d records, wrote %d; the sets differ", len(read), len(written))
 	}
 }
 
@@ -287,13 +334,17 @@ func (f *failFS) Create(path string) (io.WriteCloser, error) {
 // able to tell "storage broke" from "storage was slow".
 func TestSinkWriteErrorVsDropAccounting(t *testing.T) {
 	store := NewStore(&failFS{dfs.NewMemFS()}, "t")
-	sink, err := store.NewSink(JobMeta{JobID: "job1", NumWorkers: 1}, WithSynchronous(), WithSegmentSize(1))
+	sink, err := store.NewSink(JobMeta{JobID: "job1", NumWorkers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	werr := sink.WorkerSink(0).WriteVertexCapture(sampleVertexCapture())
-	if werr == nil {
-		t.Fatal("write into a failing store succeeded")
+	// The write only queues the record; the failure shows when the
+	// barrier tries to commit its segment.
+	if err := sink.WorkerSink(0).WriteVertexCapture(sampleVertexCapture()); err != nil {
+		t.Fatalf("queueing a record failed: %v", err)
+	}
+	if err := sink.BarrierFlush(0); !errors.Is(err, errDiskGone) {
+		t.Errorf("BarrierFlush = %v, want the storage failure", err)
 	}
 	if err := sink.Err(); !errors.Is(err, errDiskGone) {
 		t.Errorf("Err() = %v, want the storage failure", err)
